@@ -16,6 +16,8 @@ from repro.core import (
     knapsack_cardinality,
     knapsack_thread_capped,
 )
+from repro.core.value import paper_value_floored
+from repro.sim import profile
 
 
 def _items(n, seed=0):
@@ -27,6 +29,21 @@ def _items(n, seed=0):
             threads=int(t),
         )
         for _ in range(n)
+    ]
+
+
+def _table1_items(n, seed=0):
+    """Table-I thread counts valued by Eq. 1 (floored): 15/16 and 7/16 sum
+    exactly, so the solver profiles ranges per class. The ``+ 0.05`` of
+    :func:`_items` makes every sum inexact and forces the per-item DP."""
+    rng = np.random.default_rng(seed)
+    return [
+        Item(
+            weight=float(rng.integers(6, 69) * 50),
+            value=paper_value_floored(t),
+            threads=t,
+        )
+        for t in rng.choice([60, 180, 240], size=n).tolist()
     ]
 
 
@@ -45,6 +62,18 @@ def test_bench_knapsack_cardinality(benchmark):
 
 def test_bench_knapsack_thread_capped(benchmark):
     items = _items(1000)
+    result = benchmark(knapsack_thread_capped, items, 8192.0, 240)
+    assert result.total_threads <= 240
+
+
+def test_bench_knapsack_thread_capped_table1(benchmark):
+    items = _table1_items(1000)
+    prof = profile.activate()
+    try:
+        knapsack_thread_capped(items, 8192.0, 240)
+    finally:
+        profile.deactivate()
+    assert (prof.class_solves, prof.fallback_solves) == (1, 0)
     result = benchmark(knapsack_thread_capped, items, 8192.0, 240)
     assert result.total_threads <= 240
 

@@ -29,6 +29,28 @@ forward DP (still O(n·W) / O(n·W·K)), while live memory drops from
 O(n·W·K) to O(W·K·log n) — independent of the queue length, which is
 what lets the Fig. 4 hot path repack against 10k–100k pending jobs.
 
+Class range profiles
+--------------------
+The 2-D solvers compute a range's value profile per equivalence class:
+items with equal (quantized weight, quantized threads or count, value)
+are counted in the range, and each class costs one 0-1 update per
+binary-split pseudo-item (1, 2, 4, … copies) instead of one per item.
+Classes dominated by a class whose every fitting copy is in the range
+are skipped. Table-I jobs fall into a handful of classes, so a Table II
+MCCK cell runs about 50 times fewer DP updates. The split tree, the
+first-index argmax and the closed forms are unchanged, so the decisions
+are too and no mapping from classes back to items is needed. (Among
+equal items the D&C takes the *last* members of a partly taken class:
+the first-index argmax hands ties the smallest left capacity. All 867
+such classes in the seed-42 Table II MCCK solves do.) The profiles are
+bitwise those of the per-item DP only when every sum the DP forms is
+exact in float64, so each solve is guarded: values of classes that can
+share a feasible set (all but the *solo* ones, ``w + min w > W`` or
+``k + min k > K``) must be dyadic enough that their usable total times
+the largest denominator stays below 2**52. The 0.05-floored 240-thread
+jobs are solo under a 240-thread cap. A solve that fails the guard runs
+the per-item DP.
+
 Quantization
 ------------
 Weights and capacity are quantized on a *consistent* grid: weights round
@@ -49,6 +71,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from ..sim import profile as _profile
 
 #: The paper's memory quantum: "increments of 50MB".
 DEFAULT_QUANTUM_MB = 50.0
@@ -203,8 +227,13 @@ def _dp_values_2d(
     hi: int,
     W: int,
     K: int,
+    plan: Optional[tuple[np.ndarray, list]],
 ) -> np.ndarray:
-    """2-D variant: second dimension is item count or quantized threads."""
+    """2-D variant: second dimension is item count or quantized threads.
+
+    With a class ``plan`` (see :func:`_class_plan`) ranges of three or
+    more items are profiled per class instead of per item.
+    """
     dp = np.zeros((W + 1, K + 1))
     if hi - lo == 1:
         w, k, v = weights[lo], costs[lo], values[lo]
@@ -227,17 +256,140 @@ def _dp_values_2d(
             else:
                 dp[wb:, kb:] = vb
         return dp
+    if plan is not None:
+        ids, classes = plan
+        counts = np.bincount(ids[lo:hi], minlength=len(classes) + 1).tolist()
+        present = []
+        saturated = []
+        for (w, k, v), n in zip(classes, counts):
+            if not n:
+                continue
+            fit = _copies_that_fit(w, k, W, K)
+            if fit:
+                present.append((w, k, v, min(n, fit)))
+                if n >= fit:
+                    saturated.append((w, k, v))
+        # Skip the classes a saturated class strictly dominates.
+        kept = []
+        for entry in present:
+            w, k, v, _ = entry
+            for a, b, c in saturated:
+                if a <= w and b <= k and c >= v and (a < w or b < k or c > v):
+                    break
+            else:
+                kept.append(entry)
+        if not kept:
+            return dp
+        # Into the all-zero profile, j copies of the first class are worth
+        # j * v from (j * w, j * k) on: a staircase of plain fills (j * v
+        # is exact by the guard below).
+        w, k, v, n = kept[0]
+        for j in range(1, n + 1):
+            dp[j * w :, j * k :] = j * v
+        for w, k, v, n in kept[1:]:
+            # Binary splitting: pseudo-items of 1, 2, 4, ... copies reach
+            # every copy count 0..n with one 0-1 update each.
+            size = 1
+            while n > 0:
+                take = size if size < n else n
+                _dp_update_2d(dp, take * w, take * k, take * v, W, K)
+                n -= take
+                size *= 2
+        return dp
     for i in range(lo, hi):
         w, k, v = weights[i], costs[i], values[i]
         if w > W or k > K or v <= 0:
             continue
-        if w == 0 and k == 0:
-            dp += v
-        else:
-            np.maximum(
-                dp[w:, k:], dp[: W + 1 - w, : K + 1 - k] + v, out=dp[w:, k:]
-            )
+        _dp_update_2d(dp, w, k, v, W, K)
     return dp
+
+
+def _copies_that_fit(w: int, k: int, W: int, K: int) -> float:
+    """Copies of a (w, k) item that fit capacity (W, K); inf if w = k = 0."""
+    return min(W // w if w else math.inf, K // k if k else math.inf)
+
+
+def _dp_update_2d(dp: np.ndarray, w: int, k: int, v: float, W: int, K: int) -> None:
+    """One 0-1 item update of a 2-D value profile, in place."""
+    if w == 0 and k == 0:
+        dp += v
+    else:
+        # The addition materializes a temp from the pre-update dp, so the
+        # in-place maximum keeps 0-1 (not unbounded) semantics.
+        tail = dp[w:, k:]
+        np.maximum(tail, dp[: W + 1 - w, : K + 1 - k] + v, out=tail)
+
+
+# -- equivalence-class range profiles ----------------------------------------
+#
+# A range's value profile is the best total value of a subset of its
+# items at every capacity, so it depends only on the multiset of items in
+# the range. Jobs cluster on a few (quantized MB, quantized threads,
+# value) classes, so _dp_values_2d counts each class's items in the range
+# and runs one 0-1 update per binary-split pseudo-item (1, 2, 4, ...
+# copies) instead of one per item. Counts are clamped to the copies that
+# can fit the range's capacity, min(count, W // w, K // k).
+#
+# A class whose count reaches that clamp is *saturated*: no packing
+# within the capacity can use more copies than the range holds. Then a
+# class it dominates (weight and cost no smaller, value no larger) adds
+# nothing to the profile, because every copy of the dominated class in a
+# packing can swap for an unused saturated copy without losing value or
+# feasibility. Such classes are skipped; in Table-I mixes they are most
+# of the classes in a range.
+#
+# The two update orders form different float sums, so the profiles are
+# bitwise identical only when every sum the DP can form is exact. A
+# *solo* class (w + minw > W or k + mink > K) never shares a feasible set
+# with another positive item: its value is only ever added to a zero cell
+# and needs no check (this keeps the 0.05-floored 240-thread jobs of the
+# thread-capped DP on the class path). Every other sum is a multiple of
+# 1/D, D the largest power-of-two denominator among the non-solo values,
+# and at most their usable total, so it is exact when that total times D
+# stays below 2**52. A solve failing the check runs the per-item DP.
+
+
+def _class_plan(
+    weights: Sequence[int],
+    costs: Sequence[int],
+    values: Sequence[float],
+    W: int,
+    K: int,
+    minw: int,
+    mink: int,
+) -> Optional[tuple[np.ndarray, list[tuple[int, int, float]]]]:
+    """Group a 2-D solve's items into classes, or ``None`` if inexact.
+
+    Returns ``(ids, classes)``: ``classes[c]`` is ``(w, k, v)``
+    and ``ids[i]`` is item i's class, or ``len(classes)`` for an item no
+    DP update ever adds (zero value or unfittable).
+    """
+    keys = list(zip(weights, costs, values))
+    slot: dict[tuple[int, int, float], int] = {}
+    classes: list[tuple[int, int, float]] = []
+    for key in dict.fromkeys(keys):
+        w, k, v = key
+        if v <= 0 or w > W or k > K:
+            slot[key] = -1
+            continue
+        if not math.isfinite(v):
+            return None
+        slot[key] = len(classes)
+        classes.append(key)
+    ids = np.array([slot[key] for key in keys], dtype=np.intp)
+    ids[ids < 0] = len(classes)
+    counts = np.bincount(ids, minlength=len(classes) + 1).tolist()
+    exact = []
+    for (w, k, v), usable in zip(classes, counts):
+        if w + minw > W or k + mink > K:
+            continue  # solo
+        usable = min(usable, _copies_that_fit(w, k, W, K))
+        exact.append((usable, *v.as_integer_ratio()))
+    if exact:
+        denom = max(den for _, _, den in exact)
+        if sum(u * num * (denom // den) for u, num, den in exact) >= 2**52:
+            return None
+    return ids, classes
 
 
 # -- divide-and-conquer reconstruction ---------------------------------------
@@ -383,6 +535,7 @@ def _backtrack_2d(
     W: int,
     K: int,
     chosen: list[int],
+    plan: Optional[tuple[np.ndarray, list]],
 ) -> None:
     if lo >= hi or W < minw or K < mink:
         # No positive item anywhere is cheap enough for this residual
@@ -459,16 +612,16 @@ def _backtrack_2d(
         _, m, k = next(t for t in grid if t[0] == best_v)
         _backtrack_2d(
             weights, costs, values, prefix_w, prefix_k, minw, mink,
-            lo, lo + 1, m, k, chosen,
+            lo, lo + 1, m, k, chosen, plan,
         )
         _backtrack_2d(
             weights, costs, values, prefix_w, prefix_k, minw, mink,
-            lo + 1, hi, W - m, K - k, chosen,
+            lo + 1, hi, W - m, K - k, chosen, plan,
         )
         return
     mid = (lo + hi) // 2
-    left = _dp_values_2d(weights, costs, values, lo, mid, W, K)
-    right = _dp_values_2d(weights, costs, values, mid, hi, W, K)
+    left = _dp_values_2d(weights, costs, values, lo, mid, W, K, plan)
+    right = _dp_values_2d(weights, costs, values, mid, hi, W, K, plan)
     # Flipping both axes of a C-contiguous array reverses its flat
     # buffer, so the combine runs as a single 1-D strided add instead of
     # a 2-D reversed iteration (same element pairing, same additions).
@@ -477,12 +630,52 @@ def _backtrack_2d(
     m, k = divmod(int(flat.argmax()), K + 1)
     _backtrack_2d(
         weights, costs, values, prefix_w, prefix_k, minw, mink,
-        lo, mid, m, k, chosen,
+        lo, mid, m, k, chosen, plan,
     )
     _backtrack_2d(
         weights, costs, values, prefix_w, prefix_k, minw, mink,
-        mid, hi, W - m, K - k, chosen,
+        mid, hi, W - m, K - k, chosen, plan,
     )
+
+
+def _solve_2d(
+    items: Sequence[Item],
+    weights: Sequence[int],
+    costs: Sequence[int],
+    W: int,
+    K: int,
+) -> PackResult:
+    """Optimal subset under quantized weight W and second-dimension K."""
+    n = len(items)
+    values = [item.value for item in items]
+    chosen: list[int] = []
+    prefix_w = _positive_prefix(weights, values)
+    prefix_k = _positive_prefix(costs, values)
+    minw = _min_positive(weights, values, W + 1)
+    mink = _min_positive(costs, values, K + 1)
+    plan = None
+    if (
+        n > 3
+        and W >= minw
+        and K >= mink
+        and (prefix_w[n] > W or prefix_k[n] > K)
+    ):
+        # The root neither prunes, packs everything nor takes a closed
+        # form, so range profiles will run: plan them by class.
+        plan = _class_plan(weights, costs, values, W, K, minw, mink)
+        prof = _profile.ACTIVE
+        if prof is not None:
+            if plan is None:
+                prof.fallback_solves += 1
+            else:
+                prof.class_solves += 1
+                prof.class_items += n
+                prof.classes += len(plan[1])
+    _backtrack_2d(
+        weights, costs, values, prefix_w, prefix_k, minw, mink,
+        0, n, W, K, chosen, plan,
+    )
+    return _result(items, chosen)
 
 
 # -- public solvers -----------------------------------------------------------
@@ -533,18 +726,8 @@ def knapsack_cardinality(
     W, weights = _consistent_grid(
         [item.weight for item in items], capacity, quantum
     )
-    values = [item.value for item in items]
-    costs = [1] * n  # every item occupies one host slot
-    chosen: list[int] = []
-    prefix_w = _positive_prefix(weights, values)
-    prefix_k = _positive_prefix(costs, values)
-    minw = _min_positive(weights, values, W + 1)
-    mink = _min_positive(costs, values, K + 1)
-    _backtrack_2d(
-        weights, costs, values, prefix_w, prefix_k, minw, mink,
-        0, n, W, K, chosen,
-    )
-    return _result(items, chosen)
+    # Every item occupies one host slot.
+    return _solve_2d(items, weights, [1] * n, W, K)
 
 
 def knapsack_thread_capped(
@@ -572,17 +755,7 @@ def knapsack_thread_capped(
         float(thread_capacity),
         float(thread_quantum),
     )
-    values = [item.value for item in items]
-    chosen: list[int] = []
-    prefix_w = _positive_prefix(weights, values)
-    prefix_t = _positive_prefix(threads, values)
-    minw = _min_positive(weights, values, W + 1)
-    mint = _min_positive(threads, values, T + 1)
-    _backtrack_2d(
-        weights, threads, values, prefix_w, prefix_t, minw, mint,
-        0, n, W, T, chosen,
-    )
-    return _result(items, chosen)
+    return _solve_2d(items, weights, threads, W, T)
 
 
 def brute_force(

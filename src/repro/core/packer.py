@@ -93,12 +93,18 @@ class DevicePacker:
         self._value_cache: dict[int, float] = {}
         # Item is a frozen dataclass, so instances can be shared between
         # packs; jobs cluster on a few (memory, threads) pairs and every
-        # repack used to rebuild an Item per job.
-        self._item_cache: dict[tuple[float, int], Item] = {}
-        # Solved packings keyed by (item multiset-in-order, capacity,
-        # count bound): repacks recur on identical candidate signatures —
-        # a device freeing the same amount over a stable queue — and the
-        # DP is pure, so the whole solve can be replayed from cache.
+        # repack used to rebuild an Item per job. Each pair maps to its
+        # interned key tuple and its Item.
+        self._item_cache: dict[
+            tuple[float, int], tuple[tuple[float, int], Item]
+        ] = {}
+        # Solved packings keyed by (interned (declared MB, threads) pairs
+        # in order, capacity, count bound): repacks recur on identical
+        # candidate signatures — a device freeing the same amount over a
+        # stable queue — and the DP is pure, so the whole solve can be
+        # replayed from cache. A pair determines its Item, and tuples of
+        # plain numbers hash in C, unlike the frozen-dataclass Items;
+        # interning keeps a cached key from holding a tuple per job.
         self._packing_cache: dict[tuple, "PackResult"] = {}
         #: Knapsack DP invocations actually run vs avoided by the cache.
         self.solver_calls = 0
@@ -125,19 +131,21 @@ class DevicePacker:
         if free_memory_mb < 0:
             raise ValueError("free_memory_mb must be non-negative")
         cache = self._item_cache
+        keys = []
         items = []
         for job in jobs:
             key = (job.declared_memory_mb, job.declared_threads)
-            item = cache.get(key)
-            if item is None:
+            entry = cache.get(key)
+            if entry is None:
                 item = Item(
                     weight=job.declared_memory_mb,
                     value=self._item_value(job.declared_threads),
                     threads=job.declared_threads,
                 )
-                cache[key] = item
-            items.append(item)
-        cache_key = (tuple(items), free_memory_mb, max_jobs)
+                entry = cache[key] = (key, item)
+            keys.append(entry[0])
+            items.append(entry[1])
+        cache_key = (tuple(keys), free_memory_mb, max_jobs)
         cached = self._packing_cache.get(cache_key)
         prof = _profile.ACTIVE
         if cached is not None:

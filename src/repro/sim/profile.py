@@ -62,6 +62,10 @@ class SimProfiler:
     solver_calls / packing_cache_hits:
         Knapsack solves actually run versus packings served from the
         packer's (capacity, candidate-set) cache.
+    class_solves / fallback_solves / class_items / classes:
+        2-D knapsack solves that ran range profiles, per equivalence
+        class versus per item (the exactness guard failed), and the
+        items and classes summed over the class-path solves.
     index_jobs_examined / index_jobs_skipped / index_buckets_peak:
         Pending-index bucket traffic: jobs streamed from fitting weight
         buckets, jobs in heavier buckets never touched, and the largest
@@ -86,6 +90,10 @@ class SimProfiler:
         "devices_repacked",
         "solver_calls",
         "packing_cache_hits",
+        "class_solves",
+        "fallback_solves",
+        "class_items",
+        "classes",
         "index_jobs_examined",
         "index_jobs_skipped",
         "index_buckets_peak",
@@ -111,6 +119,10 @@ class SimProfiler:
         self.devices_repacked = 0
         self.solver_calls = 0
         self.packing_cache_hits = 0
+        self.class_solves = 0
+        self.fallback_solves = 0
+        self.class_items = 0
+        self.classes = 0
         self.index_jobs_examined = 0
         self.index_jobs_skipped = 0
         self.index_buckets_peak = 0
@@ -236,6 +248,19 @@ class SimProfiler:
             lines.append(
                 f"{'packing cache hits':<24}{self.packing_cache_hits:>16,}"
             )
+            lines.append(
+                f"{'class-path solves':<24}{self.class_solves:>16,}"
+            )
+            lines.append(
+                f"{'fallback solves':<24}{self.fallback_solves:>16,}"
+            )
+            solves = self.class_solves
+            ratio = (
+                f"{self.class_items / solves:.1f} → {self.classes / solves:.1f}"
+                if solves
+                else "-"
+            )
+            lines.append(f"{'items → classes (mean)':<24}{ratio:>16}")
             lines.append(
                 f"{'index jobs examined':<24}{examined:>16,}"
             )

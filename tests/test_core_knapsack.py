@@ -1,7 +1,9 @@
 """Unit + property tests for the 0-1 knapsack solvers."""
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -11,6 +13,7 @@ from repro.core import (
     knapsack_cardinality,
     knapsack_thread_capped,
 )
+from repro.core import knapsack as knapsack_module
 
 
 def items_of(*triples):
@@ -378,3 +381,111 @@ class TestPropertyCrossCheck:
         )
         assert card.total_value == pytest.approx(plain.total_value, abs=1e-6)
         assert capped.total_value == pytest.approx(plain.total_value, abs=1e-6)
+
+
+def _solve_both_paths(solve):
+    """Run ``solve`` on the class-profile path and on the forced per-item
+    path; also return the class plans the first run made (``None`` = the
+    exactness guard fell back)."""
+    plans = []
+    original = knapsack_module._class_plan
+
+    def spy(*args):
+        plan = original(*args)
+        plans.append(plan)
+        return plan
+
+    with mock.patch.object(knapsack_module, "_class_plan", spy):
+        by_class = solve()
+    with mock.patch.object(knapsack_module, "_class_plan", lambda *args: None):
+        by_item = solve()
+    return by_class, by_item, plans
+
+
+# A few (weight quanta, value in sixteenths, thread quanta) classes, drawn
+# from many times: the heavy duplication the class path exists for.
+_palette = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=32),
+        st.integers(min_value=0, max_value=4),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestClassRangeProfiles:
+    """Range profiles by equivalence class must make the same decisions as
+    the per-item DP: identical indices, not just an equal optimum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _palette,
+        st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=40),
+        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=1, max_value=12),
+    )
+    # A zero-weight class is saturated only when its threads run out.
+    @example([(0, 1, 2), (0, 0, 0), (0, 1, 1)], [0, 0, 0, 0, 2], 0, 3)
+    def test_thread_capped_indices_identical(
+        self, palette, picks, capacity_units, thread_units
+    ):
+        items = [
+            Item(weight=w * 50.0, value=v / 16, threads=t * 4)
+            for w, v, t in (palette[p % len(palette)] for p in picks)
+        ]
+        by_class, by_item, plans = _solve_both_paths(
+            lambda: knapsack_thread_capped(
+                items, capacity_units * 50.0, thread_capacity=thread_units * 4
+            )
+        )
+        assert by_class.indices == by_item.indices
+        assert None not in plans
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _palette,
+        st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=40),
+        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=1, max_value=10),
+    )
+    def test_cardinality_indices_identical(
+        self, palette, picks, capacity_units, max_items
+    ):
+        items = [
+            Item(weight=w * 50.0, value=v / 16)
+            for w, v, _ in (palette[p % len(palette)] for p in picks)
+        ]
+        by_class, by_item, plans = _solve_both_paths(
+            lambda: knapsack_cardinality(
+                items, capacity_units * 50.0, max_items=max_items
+            )
+        )
+        assert by_class.indices == by_item.indices
+        assert None not in plans
+
+    def test_solo_floored_class_stays_on_class_path(self):
+        # Table-I threads under the 240-thread cap: Eq. 1 gives 60 -> 15/16
+        # and 180 -> 7/16 (dyadic); the floored 240-thread jobs are worth
+        # 0.05, which no float sum holds exactly — but they can never
+        # share a card with another job, so the guard need not count them.
+        mix = [(1000.0, 15 / 16, 60), (1500.0, 7 / 16, 180), (500.0, 0.05, 240)]
+        items = [Item(*mix[i % 3]) for i in range(30)]
+        by_class, by_item, plans = _solve_both_paths(
+            lambda: knapsack_thread_capped(items, 8192.0, thread_capacity=240)
+        )
+        assert by_class.indices == by_item.indices
+        assert by_class.count > 0
+        assert len(plans) == 1 and plans[0] is not None
+
+    def test_non_dyadic_values_fall_back(self):
+        # 0.1 and 0.3 are not sums of powers of two, and both classes can
+        # share the card, so a class-path sum could round differently.
+        mix = [(500.0, 0.1, 4), (700.0, 0.3, 8)]
+        items = [Item(*mix[i % 2]) for i in range(20)]
+        by_class, by_item, plans = _solve_both_paths(
+            lambda: knapsack_thread_capped(items, 4000.0, thread_capacity=240)
+        )
+        assert by_class.indices == by_item.indices
+        assert plans == [None]

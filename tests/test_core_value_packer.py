@@ -121,6 +121,20 @@ class TestDevicePacker:
         with pytest.raises(ValueError):
             DevicePacker().pack([], -1)
 
+    def test_packing_memo_keys_on_declared_pairs_in_order(self):
+        packer = DevicePacker(thread_capacity=240)
+        packer.pack([job("a", 1000, 60), job("b", 2000, 180)], 8192)
+        # Other jobs with the same (memory, threads) pairs replay the solve.
+        again = packer.pack([job("c", 1000, 60), job("d", 2000, 180)], 8192)
+        assert again.chosen == ("c", "d")
+        assert (packer.solver_calls, packer.packing_cache_hits) == (1, 1)
+        # A changed pair, order, capacity or count bound solves afresh.
+        packer.pack([job("e", 1000, 60), job("f", 2000, 240)], 8192)
+        packer.pack([job("g", 2000, 180), job("h", 1000, 60)], 8192)
+        packer.pack([job("i", 1000, 60), job("j", 2000, 180)], 4096)
+        packer.pack([job("k", 1000, 60), job("l", 2000, 180)], 8192, max_jobs=1)
+        assert (packer.solver_calls, packer.packing_cache_hits) == (5, 1)
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(

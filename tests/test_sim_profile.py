@@ -66,6 +66,34 @@ class TestSimProfiler:
         ):
             assert needle in text
 
+    def test_knapsack_class_counters_render(self):
+        from collections import namedtuple
+
+        from repro.core import DevicePacker
+
+        Job = namedtuple("Job", "job_id declared_memory_mb declared_threads")
+        prof = profile.activate()
+        packer = DevicePacker(thread_capacity=240)
+        # Eq. 1 values of 60 and 180 threads (15/16, 7/16) sum exactly.
+        table1 = [Job(f"a{i}", 1000.0 + 500 * (i % 2), 60 + 120 * (i % 2))
+                  for i in range(12)]
+        packer.pack(table1, 8192.0)
+        # 0.1 and 0.3 do not: the exactness guard falls back.
+        packer.value_fn = lambda threads: 0.1 if threads == 4 else 0.3
+        skewed = [Job(f"b{i}", 500.0 + 200 * (i % 2), 4 + 4 * (i % 2))
+                  for i in range(20)]
+        packer.pack(skewed, 4000.0)
+        assert (prof.class_solves, prof.fallback_solves) == (1, 1)
+        assert (prof.class_items, prof.classes) == (12, 2)
+        text = prof.render()
+        for needle in (
+            "class-path solves",
+            "fallback solves",
+            "items → classes (mean)",
+            "12.0 → 2.0",
+        ):
+            assert needle in text
+
     def test_deactivate_detaches_future_environments(self):
         prof = profile.activate()
         assert profile.deactivate() is prof

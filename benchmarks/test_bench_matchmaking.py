@@ -20,6 +20,13 @@ modes run on identical pre-cycle state and must produce identical
 (job, node) match lists — the optimization must change *time*, never
 *decisions*.
 
+One more cell runs MCC on a 1024-node pool (Q=300, best of
+``POOL_SAMPLES``): every examined job scans every machine, so it is the
+cell the negotiator's per-cycle autoclusters cut — ``evals`` still counts
+machines considered, ``autocluster_hits`` the ones answered from the
+memo. It is skipped under ``REPRO_SCALE`` (the interpreted replica
+spends seconds per sample there).
+
 Rendered rows land in ``benchmarks/results/matchmaking.txt`` plus
 machine-readable ``BENCH_matchmaking.json`` (shared record schema, see
 ``benchmarks/conftest.py``, with the baseline numbers embedded) so
@@ -61,6 +68,11 @@ SLOTS_PER_NODE = 16
 SAMPLES = 5
 CONFIGURATIONS = ("MC", "MCC", "MCCK")
 
+#: The pool-scale cell: MCC, Q jobs against a 1024-node pool.
+POOL_NODES = 1024
+POOL_Q = 300
+POOL_SAMPLES = 2
+
 #: Acceptance floor for the headline cell: one MCCK cycle against a
 #: 10k-deep queue must run >= 3x faster than the pre-PR matchmaker.
 MIN_MCCK_10K_SPEEDUP = 3.0
@@ -100,11 +112,13 @@ def _jobs(count: int, seed: int = 0) -> list[JobProfile]:
     ]
 
 
-def _build(configuration: str, queue_depth: int) -> CondorPool:
+def _build(
+    configuration: str, queue_depth: int, node_count: int = NODES
+) -> CondorPool:
     """A fresh pool at the pre-cycle measurement point for one config."""
     env = Environment()
     mode = "exclusive" if configuration == "MC" else "cosmic"
-    nodes = [ComputeNode(env, f"n{i}", mode=mode) for i in range(NODES)]
+    nodes = [ComputeNode(env, f"n{i}", mode=mode) for i in range(node_count)]
     if configuration == "MC":
         policy = ExclusivePlacement()
     elif configuration == "MCC":
@@ -248,15 +262,20 @@ def _optimized_cycle(pool: CondorPool):
     return elapsed_ms, stats, [(r.job_id, r.matched_node) for r in started]
 
 
-def _measure_cell(configuration: str, queue_depth: int) -> dict:
+def _measure_cell(
+    configuration: str,
+    queue_depth: int,
+    node_count: int = NODES,
+    samples: int = SAMPLES,
+) -> dict:
     opt = min(
-        (_optimized_cycle(_build(configuration, queue_depth))
-         for _ in range(SAMPLES)),
+        (_optimized_cycle(_build(configuration, queue_depth, node_count))
+         for _ in range(samples)),
         key=lambda t: t[0],
     )
     base = min(
-        (_baseline_cycle(_build(configuration, queue_depth))
-         for _ in range(SAMPLES)),
+        (_baseline_cycle(_build(configuration, queue_depth, node_count))
+         for _ in range(samples)),
         key=lambda t: t[0],
     )
     opt_ms, stats, opt_matches = opt
@@ -268,6 +287,7 @@ def _measure_cell(configuration: str, queue_depth: int) -> dict:
     )
     return {
         "configuration": configuration,
+        "nodes": node_count,
         "Q": queue_depth,
         "optimized_ms": opt_ms,
         "baseline_ms": base_ms,
@@ -275,6 +295,7 @@ def _measure_cell(configuration: str, queue_depth: int) -> dict:
         "matched": stats.matched,
         "parked": stats.parked,
         "evals": stats.evals,
+        "autocluster_hits": stats.autocluster_hits,
         "baseline_evals": base_evals,
         "pin_routed": stats.pin_routed,
         "full_scans": stats.full_scans,
@@ -283,20 +304,24 @@ def _measure_cell(configuration: str, queue_depth: int) -> dict:
 
 def _render(rows: list[dict]) -> str:
     lines = [
-        "Matchmaking cycle bench (16-node pool, one negotiation cycle, "
-        f"best of {SAMPLES})",
+        f"Matchmaking cycle bench ({NODES}-node pool unless noted, one "
+        f"negotiation cycle, best of {SAMPLES}; {POOL_NODES}-node cell "
+        f"best of {POOL_SAMPLES})",
         "baseline = pre-PR matchmaker replica: interpreted ClassAds, "
         "full scans, dict ad rebuilds",
+        "evals = machines considered; hits = of those, answered from the "
+        "cycle's autoclusters",
         "",
-        f"{'config':>6} {'Q':>7} {'cycle(ms)':>10} {'pre-PR(ms)':>11} "
-        f"{'speedup':>8} {'matched':>8} {'evals':>7} {'pre-evals':>10} "
-        f"{'pinned':>7}",
+        f"{'config':>6} {'nodes':>5} {'Q':>7} {'cycle(ms)':>10} "
+        f"{'pre-PR(ms)':>11} {'speedup':>8} {'matched':>8} {'evals':>7} "
+        f"{'hits':>7} {'pre-evals':>10} {'pinned':>7}",
     ]
     for r in rows:
         lines.append(
-            f"{r['configuration']:>6} {r['Q']:>7} {r['optimized_ms']:>10.2f} "
-            f"{r['baseline_ms']:>11.2f} {r['speedup']:>7.2f}x "
-            f"{r['matched']:>8} {r['evals']:>7} {r['baseline_evals']:>10} "
+            f"{r['configuration']:>6} {r['nodes']:>5} {r['Q']:>7} "
+            f"{r['optimized_ms']:>10.2f} {r['baseline_ms']:>11.2f} "
+            f"{r['speedup']:>7.2f}x {r['matched']:>8} {r['evals']:>7} "
+            f"{r['autocluster_hits']:>7} {r['baseline_evals']:>10} "
             f"{r['pin_routed']:>7}"
         )
     return "\n".join(lines)
@@ -308,11 +333,15 @@ def test_bench_matchmaking(record_result, record_bench_json):
         for q in _queue_depths()
         for configuration in CONFIGURATIONS
     ]
+    if not os.environ.get("REPRO_SCALE"):
+        rows.append(_measure_cell("MCC", POOL_Q, POOL_NODES, POOL_SAMPLES))
     record_result("matchmaking", _render(rows))
 
     records = []
     for r in rows:
         name = f"{r['configuration']}@Q={r['Q']}"
+        if r["nodes"] != NODES:
+            name += f",N={r['nodes']}"
         records += [
             bench_record(
                 name,
@@ -328,6 +357,9 @@ def test_bench_matchmaking(record_result, record_bench_json):
                 "count",
                 baseline=r["baseline_evals"],
             ),
+            bench_record(
+                name, "autocluster_hits", r["autocluster_hits"], "count"
+            ),
             bench_record(name, "matched", r["matched"], "count"),
             bench_record(name, "pin_routed", r["pin_routed"], "count"),
         ]
@@ -336,7 +368,8 @@ def test_bench_matchmaking(record_result, record_bench_json):
         records,
         baseline_note=(
             f"pre-PR matchmaker replica on a {NODES}-node pool "
-            f"({SLOTS_PER_NODE} slots/node, best of {SAMPLES}): "
+            f"({SLOTS_PER_NODE} slots/node, best of {SAMPLES}; the "
+            f"N={POOL_NODES} cell best of {POOL_SAMPLES}): "
             "interpreted ClassAds, full machine scans, dict ad rebuilds, "
             "per-cycle queue sort"
         ),
@@ -346,6 +379,9 @@ def test_bench_matchmaking(record_result, record_bench_json):
     for r in rows:
         assert r["matched"] > 0
         assert r["evals"] <= r["baseline_evals"]
+        if r["configuration"] == "MCC":
+            # Identical machines share one evaluation per job shape.
+            assert r["autocluster_hits"] > 0
     for (configuration, _q), r in cells.items():
         if configuration == "MCCK":
             # The external scheduler pins every live job, so every MCCK

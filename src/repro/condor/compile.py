@@ -39,6 +39,7 @@ import operator
 from typing import Callable, Optional
 
 from ..sim import profile as _profile
+from .ads import _MACHINE_REQUIREMENTS
 from .classad import (
     _BUILTINS,
     ERROR,
@@ -152,16 +153,27 @@ class RequirementsPlan:
         negotiator routes the job through the collector's name index
         instead of scanning every machine. ``None`` for general
         expressions (full-scan fallback).
+    significant:
+        Sorted lowercase names of every attribute this expression or
+        the shared machine Requirements reads. A symmetric match of a
+        job using this Requirements against a machine with the shared
+        one depends only on both ads' values of these names (every
+        builtin is pure), so the negotiator's autoclusters key on them.
     """
 
-    __slots__ = ("fn", "never_matches", "pin_name")
+    __slots__ = ("fn", "never_matches", "pin_name", "significant")
 
     def __init__(
-        self, fn: CompiledExpr, never_matches: bool, pin_name: Optional[str]
+        self,
+        fn: CompiledExpr,
+        never_matches: bool,
+        pin_name: Optional[str],
+        significant: tuple[str, ...],
     ) -> None:
         self.fn = fn
         self.never_matches = never_matches
         self.pin_name = pin_name
+        self.significant = significant
 
     def __repr__(self) -> str:
         return (
@@ -182,7 +194,10 @@ def requirements_plan(expr: Expr) -> RequirementsPlan:
         return entry[1]
     fn, const = _compiled(expr)
     never = const and fn(_FOLD_CTX) is not True
-    plan = RequirementsPlan(fn, never, _pin_literal(expr))
+    significant = tuple(
+        sorted(expr.external_refs() | _MACHINE_REQUIREMENTS.external_refs())
+    )
+    plan = RequirementsPlan(fn, never, _pin_literal(expr), significant)
     if len(_PLANS) >= _CACHE_LIMIT:
         _PLANS.pop(next(iter(_PLANS)))
         cache_evictions += 1

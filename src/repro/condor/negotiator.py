@@ -4,7 +4,9 @@ Every ``cycle_interval`` simulated seconds the negotiator pulls fresh
 machine snapshots from the collector, walks the pending queue in FIFO
 order (§II-D), and matches each job against the nodes using symmetric
 ClassAd matchmaking. Resources are deducted from the cycle's snapshots as
-matches are made, so one cycle can fill many slots consistently.
+matches are made, so one cycle can fill many slots consistently. Jobs and
+machines that agree on every attribute the Requirements read share one
+evaluation per cycle (:class:`_Autoclusters`).
 
 Placement *within* the matched set is a policy object — this is where the
 paper's three configurations differ at the cluster level:
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import copysign
 from time import perf_counter
 from typing import Optional
 
@@ -31,8 +34,8 @@ from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..sim import Environment
 from ..sim import profile as _profile
-from .ads import MachineSnapshot, copy_snapshot, machine_ad
-from .classad import Literal, symmetric_match
+from .ads import _MACHINE_REQUIREMENTS, MachineSnapshot, copy_snapshot, machine_ad
+from .classad import ClassAd, Expr, Literal, symmetric_match
 from .collector import AMBIGUOUS_NAME, Collector, build_name_index
 from .compile import requirements_plan
 from .schedd import JobRecord, Schedd, job_tid
@@ -59,10 +62,79 @@ class CycleStats:
     in_flight: int = 0
     #: Machines probed with symmetric ClassAd matchmaking.
     evals: int = 0
+    #: Probes answered from the cycle's autoclusters instead of running
+    #: ``symmetric_match`` (so ``evals - autocluster_hits`` evaluations ran).
+    autocluster_hits: int = 0
     #: Examined jobs routed through the collector's name index (O(1)).
     pin_routed: int = 0
     #: Examined jobs that scanned every machine snapshot.
     full_scans: int = 0
+
+
+#: Type tag for ``-0.0``: equal to ``0.0`` as a dict key, yet ``strcat``
+#: renders the two differently.
+_NEGATIVE_ZERO = object()
+
+
+def _signature(ad: ClassAd, names: tuple[str, ...]) -> Optional[tuple]:
+    """``ad``'s type-tagged values of ``names`` (flat); None on any Expr.
+
+    Tags keep ``1``, ``1.0`` and ``true`` apart: one dict key, yet a bool
+    never compares with a number and ``strcat`` renders ``1`` and ``1.0``
+    differently. An expression-valued attribute can read names outside
+    the set, so it opts the whole ad out of the memo.
+    """
+    raw = ad.raw
+    signature = []
+    for name in names:
+        value = raw(name)
+        if isinstance(value, Expr):
+            return None
+        kind = type(value)
+        if kind is float and value == 0.0 and copysign(1.0, value) < 0:
+            kind = _NEGATIVE_ZERO
+        signature.append(kind)
+        signature.append(value)
+    return tuple(signature)
+
+
+def _machine_key(ad: ClassAd, names: tuple[str, ...]) -> Optional[tuple]:
+    """Autocluster key of a machine ad, or None to bypass the memo."""
+    if ad._attrs.get("requirements") is not _MACHINE_REQUIREMENTS:
+        return None
+    return _signature(ad, names)
+
+
+class _Autoclusters:
+    """One negotiation cycle's memo of symmetric-match results.
+
+    HTCondor's autoclusters: jobs that agree on their Requirements AST
+    and on every attribute it or the machine Requirements reads (the
+    plan's ``significant`` names) get the same answer from machines that
+    agree on those names too. ``answers`` maps job key → machine key →
+    bool; ``machine_keys`` maps names → ``id(snapshot)`` → key (None:
+    bypass), built lazily and dropped by :meth:`forget` when a deduction
+    changes the snapshot — the only mutation it sees inside a cycle.
+    Snapshot ids are stable because the cycle view holds every snapshot.
+    ``shapes`` interns machine keys, so a thousand identical machines
+    hold one key tuple.
+    """
+
+    __slots__ = ("answers", "machine_keys", "shapes")
+
+    def __init__(self) -> None:
+        self.answers: dict[tuple, dict[tuple, bool]] = {}
+        self.machine_keys: dict[tuple[str, ...], dict[int, Optional[tuple]]] = {}
+        self.shapes: dict[tuple, tuple] = {}
+
+    def forget(self, snapshot: MachineSnapshot) -> None:
+        sid = id(snapshot)
+        for keys in self.machine_keys.values():
+            keys.pop(sid, None)
+
+
+#: ``machine_keys`` marker for a snapshot not keyed yet this cycle.
+_UNKEYED = object()
 
 
 class SnapshotCycleView:
@@ -120,9 +192,9 @@ class PlacementPolicy:
     def prefilter(self, record: JobRecord, snapshots: list[MachineSnapshot]) -> bool:
         """Cheap necessary condition before full ClassAd matchmaking.
 
-        The analogue of Condor's autocluster optimization: skip jobs that
-        cannot possibly match this cycle without paying for expression
-        evaluation against every machine.
+        Skips jobs that cannot possibly match this cycle without walking
+        every machine (the per-cycle autoclusters then cut the ClassAd
+        evaluations of the jobs that do get scanned).
         """
         return True
 
@@ -480,6 +552,7 @@ class Negotiator:
         # computed lazily, so a cycle with nothing pending builds no
         # snapshots at all (the O(1) idle-pool floor).
         exhausted: Optional[bool] = None
+        autoclusters = _Autoclusters()
         # The queue walk is the cycle's O(jobs) floor — with 10k+ jobs
         # parked by the external scheduler, per-record work must stay at
         # a couple of dict hits. Local counters (folded into ``stats``
@@ -520,7 +593,7 @@ class Negotiator:
                 prefiltered += 1
                 continue
             examined += 1
-            placement = self._match(record, view, plan, stats)
+            placement = self._match(record, view, plan, stats, autoclusters)
             if placement is None:
                 continue
             snapshot, device_index, exclusive = placement
@@ -530,6 +603,7 @@ class Negotiator:
                 exclusive,
                 record.profile.declared_memory_mb,
             )
+            autoclusters.forget(snapshot)
             exhausted = policy.exhausted(view.candidates())
             if self._fabric is None:
                 startd = self.collector.startd(snapshot.node)
@@ -574,6 +648,7 @@ class Negotiator:
         if prof is not None:
             prof.negotiation_cycles += 1
             prof.match_probes += stats.evals
+            prof.autocluster_hits += stats.autocluster_hits
             prof.pin_routed += stats.pin_routed
             prof.full_scans += stats.full_scans
         if tracer is not None:
@@ -634,7 +709,7 @@ class Negotiator:
             on_delivered=self._match_delivered,
         )
 
-    def _match(self, record: JobRecord, view, plan, stats):
+    def _match(self, record: JobRecord, view, plan, stats, autoclusters):
         if view.has_index and plan.pin_name is not None:
             pinned = view.lookup(plan.pin_name)
             if pinned is not AMBIGUOUS_NAME:
@@ -653,11 +728,41 @@ class Negotiator:
         snapshots = view.candidates()
         stats.full_scans += 1
         stats.evals += len(snapshots)
-        candidates = [
-            snapshot
-            for snapshot in snapshots
-            if symmetric_match(record.ad, view.ad(snapshot))
-        ]
+        job = record.ad
+        names = plan.significant
+        signature = _signature(job, names)
+        if signature is None:
+            candidates = [
+                snapshot
+                for snapshot in snapshots
+                if symmetric_match(job, view.ad(snapshot))
+            ]
+        else:
+            job_key = (job._attrs["requirements"], *signature)
+            answers = autoclusters.answers.setdefault(job_key, {})
+            machine_keys = autoclusters.machine_keys.setdefault(names, {})
+            shapes = autoclusters.shapes
+            candidates = []
+            hits = 0
+            for snapshot in snapshots:
+                key = machine_keys.get(id(snapshot), _UNKEYED)
+                if key is _UNKEYED:
+                    key = _machine_key(view.ad(snapshot), names)
+                    if key is not None:
+                        # Share one tuple per machine shape.
+                        key = shapes.setdefault(key, key)
+                    machine_keys[id(snapshot)] = key
+                if key is None:
+                    ok = symmetric_match(job, view.ad(snapshot))
+                else:
+                    ok = answers.get(key)
+                    if ok is None:
+                        ok = answers[key] = symmetric_match(job, view.ad(snapshot))
+                    else:
+                        hits += 1
+                if ok:
+                    candidates.append(snapshot)
+            stats.autocluster_hits += hits
         if not candidates:
             return None
         return self.policy.place(record, candidates)

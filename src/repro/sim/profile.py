@@ -52,6 +52,9 @@ class SimProfiler:
         Matchmaking: cycles run, machines probed with symmetric ClassAd
         matchmaking, and how examined jobs were routed — through the
         collector's O(1) name index versus a scan of every machine.
+    autocluster_hits:
+        Probes answered from the negotiator's per-cycle autoclusters;
+        ``match_probes - autocluster_hits`` evaluations actually ran.
     compile_hits / compile_misses / compile_evictions:
         ClassAd closure-compiler cache traffic (see
         :mod:`repro.condor.compile`); evictions count LRU drops across
@@ -83,6 +86,7 @@ class SimProfiler:
         "match_probes",
         "pin_routed",
         "full_scans",
+        "autocluster_hits",
         "compile_hits",
         "compile_misses",
         "compile_evictions",
@@ -112,6 +116,7 @@ class SimProfiler:
         self.match_probes = 0
         self.pin_routed = 0
         self.full_scans = 0
+        self.autocluster_hits = 0
         self.compile_hits = 0
         self.compile_misses = 0
         self.compile_evictions = 0
@@ -211,6 +216,13 @@ class SimProfiler:
             )
             lines.append(
                 f"{'classad evals':<24}{self.match_probes:>16,}"
+            )
+            lines.append(
+                f"{'autocluster hits':<24}{self.autocluster_hits:>16,}"
+            )
+            lines.append(
+                f"{'classad evals run':<24}"
+                f"{self.match_probes - self.autocluster_hits:>16,}"
             )
             lines.append(
                 f"{'evals/cycle':<24}{per_cycle:>16,.1f}"

@@ -1,11 +1,16 @@
 """Unit tests for placement policies, machine/job ads, and negotiation."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import ComputeNode
+from repro.cluster import ClusterConfig, ComputeNode, run_mcc
 from repro.condor import (
+    BestFitPlacement,
+    ClassAd,
     Collector,
     DeviceSnapshot,
     ExclusivePlacement,
@@ -20,9 +25,18 @@ from repro.condor import (
     pin_requirements,
     symmetric_match,
 )
+from repro.condor import collector as collector_module
+from repro.condor import negotiator as negotiator_module
 from repro.condor.collector import AMBIGUOUS_NAME
+from repro.net.profile import NetProfile
+from repro.phi import XeonPhiSpec
 from repro.sim import Environment
-from repro.workloads import HostPhase, JobProfile, OffloadPhase
+from repro.workloads import (
+    HostPhase,
+    JobProfile,
+    OffloadPhase,
+    generate_table1_jobs,
+)
 
 
 def make_profile(job_id="j", memory=1000.0, threads=60):
@@ -352,3 +366,222 @@ class TestPinnedPlacement:
     def test_full_node_returns_none(self):
         policy = PinnedPlacement()
         assert policy.place(record(), [snapshot(free_slots=0)]) is None
+
+
+class TestAutoclusters:
+    def test_identical_machines_answer_from_the_memo(self):
+        env = Environment()
+        schedd, _, negotiator = _pool(
+            env, RandomPlacement(random.Random(0)), nodes=3,
+        )
+        schedd.submit(make_profile("j0"))
+        schedd.submit(make_profile("j1"))
+        assert negotiator.negotiate_once() == 2
+        stats = negotiator.last_cycle
+        # Machines considered are unchanged: 3 per job.
+        assert stats.evals == 6
+        # j0 evaluates one machine shape; j1 re-evaluates only the node
+        # j0's deduction changed.
+        assert stats.autocluster_hits == 4
+
+    def test_negative_zero_does_not_share_a_key(self):
+        assert negotiator_module._signature(
+            _ad_with(x=0.0), ("x",)
+        ) != negotiator_module._signature(_ad_with(x=-0.0), ("x",))
+
+    def test_bool_int_and_float_do_not_share_a_key(self):
+        keys = {
+            negotiator_module._signature(_ad_with(x=value), ("x",))
+            for value in (True, 1, 1.0)
+        }
+        assert len(keys) == 3
+
+    def test_expression_valued_attribute_bypasses(self):
+        ad = _ad_with(x=1)
+        ad.set_expr("y", "MY.x + 1")
+        assert negotiator_module._signature(ad, ("x", "y")) is None
+
+    def test_custom_machine_requirements_bypass(self):
+        ad = machine_ad(snapshot())
+        names = ("freeslots",)
+        assert negotiator_module._machine_key(ad, names) is not None
+        ad.set_expr("Requirements", "TARGET.RequestPhiMemory <= 100")
+        assert negotiator_module._machine_key(ad, names) is None
+
+
+def _ad_with(**attrs):
+    return ClassAd(attrs)
+
+
+# -- decision identity: memoized vs uncached matchmaking ----------------------
+
+#: One node: (cards, card memory MB, host slots, failed card indices).
+_nodes = st.tuples(
+    st.integers(1, 3),
+    st.sampled_from([2048, 4096, 8192]),
+    st.integers(1, 3),
+    st.sets(st.integers(0, 2), max_size=2),
+)
+
+#: One job: (declared memory MB, threads, submit-ad edit). ``"expr"``
+#: makes RequestPhiDevices expression-valued over an attribute no
+#: Requirements reads; ``"true"`` / ``"1"`` are the bool-vs-int pair.
+_jobs = st.tuples(
+    st.sampled_from([300.0, 1000.0, 2500.0, 5000.0]),
+    st.sampled_from([60, 120, 240]),
+    st.sampled_from([None, "true", "1", "expr"]),
+)
+
+#: Machine attributes set explicitly, shadowing the computed ones.
+_shadows = st.sampled_from([
+    ("FreeSlots", 0),
+    ("PhiMemory", 1024.0),
+    ("PhiDevices", True),
+    ("PhiFreeMemory", -0.0),
+    ("PhiDevices", 1.0),
+])
+
+_POLICIES = ("MCC", "MCC-aware", "BESTFIT", "MC")
+
+
+def _policy(name, seed):
+    if name == "MC":
+        return ExclusivePlacement()
+    if name == "BESTFIT":
+        return BestFitPlacement()
+    return RandomPlacement(random.Random(seed), memory_aware=name == "MCC-aware")
+
+
+def _recording(policy, log):
+    place = policy.place
+
+    def recorded(record, candidates):
+        placement = place(record, candidates)
+        if placement is not None:
+            log.append((record.job_id, placement[0].node, placement[1]))
+        return placement
+
+    policy.place = recorded
+
+
+def _customized(overrides):
+    """``machine_ad`` with per-node explicit attributes applied."""
+    real = machine_ad
+
+    def build(snap):
+        ad = real(snap)
+        for name, value in overrides.get(snap.node, ()):
+            if name == "Requirements":
+                ad.set_expr(name, value)
+            else:
+                ad[name] = value
+        return ad
+
+    return build
+
+
+def _signature(uncached):
+    """The key helper to run with: the real one, or one that sends every
+    job down the uncached ``symmetric_match`` path."""
+    if uncached:
+        return lambda ad, names: None
+    return negotiator_module._signature
+
+
+def _run_scenario(policy_name, seed, nodes, jobs, shadow, uncached):
+    env = Environment()
+    policy = _policy(policy_name, seed)
+    log = []
+    _recording(policy, log)
+    schedd = Schedd(env)
+    collector = Collector()
+    mode = "exclusive" if policy_name == "MC" else "cosmic"
+    shapes = list(enumerate(nodes)) + [("twin", nodes[0])]
+    for index, (cards, memory, slots, failed) in shapes:
+        node = ComputeNode(env, f"n{index}", num_devices=cards, mode=mode,
+                           spec=XeonPhiSpec(memory_mb=memory))
+        for card in sorted(failed):
+            if card < cards:
+                node.fail_device(card)
+        collector.register(Startd(env, schedd, node, slots=slots))
+    for i, (memory, threads, edit) in enumerate(jobs):
+        record = schedd.submit(
+            make_profile(f"j{i}", memory=memory, threads=threads),
+            sharing=policy.sharing, memory_aware=policy.memory_aware,
+        )
+        if edit == "expr":
+            schedd.qedit(record.job_id, "RequestPhiDevices",
+                         "RequestPhiThreads / 120")
+        elif edit is not None:
+            schedd.qedit(record.job_id, "RequestPhiDevices", edit)
+    shadow_node, shadow_attr = shadow
+    overrides = {
+        f"n{shadow_node % len(nodes)}": [shadow_attr],
+        # Same hardware as n0, but its own Requirements.
+        "ntwin": [("Requirements",
+                   "TARGET.RequestPhiThreads <= 120"
+                   " && TARGET.RequestPhiMemory <= MY.PhiMemory")],
+    }
+    negotiator = Negotiator(env, schedd, collector, policy)
+    build = _customized(overrides)
+    with mock.patch.object(collector_module, "machine_ad", build), \
+            mock.patch.object(negotiator_module, "machine_ad", build), \
+            mock.patch.object(negotiator_module, "_signature",
+                              _signature(uncached)):
+        negotiator.start()
+        env.run(until=60)
+    rng = policy.rng.getstate() if hasattr(policy, "rng") else None
+    statuses = sorted((r.job_id, r.status) for r in schedd.all_records())
+    return log, rng, statuses
+
+
+class TestDecisionIdentity:
+    """The autocluster memo changes how often ClassAds are evaluated,
+    never which (job, node, device) the negotiator picks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        policy_name=st.sampled_from(_POLICIES),
+        seed=st.integers(0, 2**16),
+        nodes=st.lists(_nodes, min_size=2, max_size=5),
+        jobs=st.lists(_jobs, min_size=3, max_size=12),
+        shadow=st.tuples(st.integers(0, 4), _shadows),
+    )
+    def test_memo_matches_uncached_path(self, policy_name, seed, nodes,
+                                        jobs, shadow):
+        cached = _run_scenario(policy_name, seed, nodes, jobs, shadow, False)
+        uncached = _run_scenario(policy_name, seed, nodes, jobs, shadow, True)
+        assert cached == uncached
+
+    def test_fabric_mode_run_is_identical(self):
+        def run(uncached):
+            log = []
+            place = RandomPlacement.place
+
+            def recorded(policy, record, candidates):
+                placement = place(policy, record, candidates)
+                if placement is not None:
+                    log.append((record.job_id, placement[0].node,
+                                placement[1]))
+                return placement
+
+            with mock.patch.object(RandomPlacement, "place", recorded), \
+                    mock.patch.object(negotiator_module, "_signature",
+                                      _signature(uncached)):
+                result = _fabric_mcc()
+            outcomes = [(r.job_id, r.start, r.end, r.status)
+                        for r in result.job_results]
+            return log, outcomes, result.makespan
+
+        cached = run(False)
+        assert cached[0], "no placements recorded"
+        assert cached == run(True)
+
+
+def _fabric_mcc():
+    return run_mcc(
+        generate_table1_jobs(24, seed=3),
+        ClusterConfig(nodes=4),
+        net=NetProfile.chaos(0.1),
+        net_seed=11,
+    )

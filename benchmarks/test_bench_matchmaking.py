@@ -20,12 +20,16 @@ modes run on identical pre-cycle state and must produce identical
 (job, node) match lists — the optimization must change *time*, never
 *decisions*.
 
-One more cell runs MCC on a 1024-node pool (Q=300, best of
-``POOL_SAMPLES``): every examined job scans every machine, so it is the
-cell the negotiator's per-cycle autoclusters cut — ``evals`` still counts
-machines considered, ``autocluster_hits`` the ones answered from the
-memo. It is skipped under ``REPRO_SCALE`` (the interpreted replica
-spends seconds per sample there).
+Three more cells run MCC at Q=300 on pools of ``POOL_NODES`` (256, 1024
+and 4096 nodes, best of ``POOL_SAMPLES``): the replica scans every
+machine for every examined job, while the negotiator evaluates each
+(job shape, machine shape) once per cycle (autoclusters) and draws each
+job's node from its autocluster's candidate index, walking the pool once
+per job shape rather than once per job. ``evals`` still counts machines
+considered, ``autocluster_hits`` the ones answered from the memo, and
+``indexed_draws`` the jobs placed without a walk. They are skipped under
+``REPRO_SCALE`` (the interpreted replica spends seconds per sample
+there).
 
 Rendered rows land in ``benchmarks/results/matchmaking.txt`` plus
 machine-readable ``BENCH_matchmaking.json`` (shared record schema, see
@@ -68,8 +72,8 @@ SLOTS_PER_NODE = 16
 SAMPLES = 5
 CONFIGURATIONS = ("MC", "MCC", "MCCK")
 
-#: The pool-scale cell: MCC, Q jobs against a 1024-node pool.
-POOL_NODES = 1024
+#: The pool-scale cells: MCC, Q jobs against pools of these sizes.
+POOL_NODES = (256, 1024, 4096)
 POOL_Q = 300
 POOL_SAMPLES = 2
 
@@ -296,6 +300,7 @@ def _measure_cell(
         "parked": stats.parked,
         "evals": stats.evals,
         "autocluster_hits": stats.autocluster_hits,
+        "indexed_draws": stats.indexed_draws,
         "baseline_evals": base_evals,
         "pin_routed": stats.pin_routed,
         "full_scans": stats.full_scans,
@@ -305,24 +310,24 @@ def _measure_cell(
 def _render(rows: list[dict]) -> str:
     lines = [
         f"Matchmaking cycle bench ({NODES}-node pool unless noted, one "
-        f"negotiation cycle, best of {SAMPLES}; {POOL_NODES}-node cell "
-        f"best of {POOL_SAMPLES})",
+        f"negotiation cycle, best of {SAMPLES}; larger pools best of "
+        f"{POOL_SAMPLES})",
         "baseline = pre-PR matchmaker replica: interpreted ClassAds, "
         "full scans, dict ad rebuilds",
         "evals = machines considered; hits = of those, answered from the "
-        "cycle's autoclusters",
+        "cycle's autoclusters; drawn = jobs placed from a candidate index",
         "",
         f"{'config':>6} {'nodes':>5} {'Q':>7} {'cycle(ms)':>10} "
         f"{'pre-PR(ms)':>11} {'speedup':>8} {'matched':>8} {'evals':>7} "
-        f"{'hits':>7} {'pre-evals':>10} {'pinned':>7}",
+        f"{'hits':>7} {'drawn':>6} {'pre-evals':>10} {'pinned':>7}",
     ]
     for r in rows:
         lines.append(
             f"{r['configuration']:>6} {r['nodes']:>5} {r['Q']:>7} "
             f"{r['optimized_ms']:>10.2f} {r['baseline_ms']:>11.2f} "
             f"{r['speedup']:>7.2f}x {r['matched']:>8} {r['evals']:>7} "
-            f"{r['autocluster_hits']:>7} {r['baseline_evals']:>10} "
-            f"{r['pin_routed']:>7}"
+            f"{r['autocluster_hits']:>7} {r['indexed_draws']:>6} "
+            f"{r['baseline_evals']:>10} {r['pin_routed']:>7}"
         )
     return "\n".join(lines)
 
@@ -334,7 +339,10 @@ def test_bench_matchmaking(record_result, record_bench_json):
         for configuration in CONFIGURATIONS
     ]
     if not os.environ.get("REPRO_SCALE"):
-        rows.append(_measure_cell("MCC", POOL_Q, POOL_NODES, POOL_SAMPLES))
+        rows += [
+            _measure_cell("MCC", POOL_Q, nodes, POOL_SAMPLES)
+            for nodes in POOL_NODES
+        ]
     record_result("matchmaking", _render(rows))
 
     records = []
@@ -360,6 +368,7 @@ def test_bench_matchmaking(record_result, record_bench_json):
             bench_record(
                 name, "autocluster_hits", r["autocluster_hits"], "count"
             ),
+            bench_record(name, "indexed_draws", r["indexed_draws"], "count"),
             bench_record(name, "matched", r["matched"], "count"),
             bench_record(name, "pin_routed", r["pin_routed"], "count"),
         ]
@@ -369,7 +378,8 @@ def test_bench_matchmaking(record_result, record_bench_json):
         baseline_note=(
             f"pre-PR matchmaker replica on a {NODES}-node pool "
             f"({SLOTS_PER_NODE} slots/node, best of {SAMPLES}; the "
-            f"N={POOL_NODES} cell best of {POOL_SAMPLES}): "
+            f"N={'/'.join(map(str, POOL_NODES))} cells best of "
+            f"{POOL_SAMPLES}): "
             "interpreted ClassAds, full machine scans, dict ad rebuilds, "
             "per-cycle queue sort"
         ),
@@ -382,6 +392,8 @@ def test_bench_matchmaking(record_result, record_bench_json):
         if r["configuration"] == "MCC":
             # Identical machines share one evaluation per job shape.
             assert r["autocluster_hits"] > 0
+            # Jobs sharing a shape draw from its candidate index.
+            assert r["indexed_draws"] > 0
     for (configuration, _q), r in cells.items():
         if configuration == "MCCK":
             # The external scheduler pins every live job, so every MCCK

@@ -6,7 +6,9 @@ order (§II-D), and matches each job against the nodes using symmetric
 ClassAd matchmaking. Resources are deducted from the cycle's snapshots as
 matches are made, so one cycle can fill many slots consistently. Jobs and
 machines that agree on every attribute the Requirements read share one
-evaluation per cycle (:class:`_Autoclusters`).
+evaluation per cycle (:class:`_Autoclusters`), and a random-placement
+job draws from its autocluster's candidate index instead of walking the
+pool (:class:`_CandidateIndex`).
 
 Placement *within* the matched set is a policy object — this is where the
 paper's three configurations differ at the cluster level:
@@ -22,6 +24,7 @@ paper's three configurations differ at the cluster level:
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import copysign
 from time import perf_counter
@@ -69,6 +72,11 @@ class CycleStats:
     pin_routed: int = 0
     #: Examined jobs that scanned every machine snapshot.
     full_scans: int = 0
+    #: Full scans served by their autocluster's candidate index, without
+    #: walking the machines (still counted in ``evals``).
+    indexed_draws: int = 0
+    #: Deducted positions re-examined by candidate indexes before a draw.
+    index_settles: int = 0
 
 
 #: Type tag for ``-0.0``: equal to ``0.0`` as a dict key, yet ``strcat``
@@ -118,19 +126,168 @@ class _Autoclusters:
     Snapshot ids are stable because the cycle view holds every snapshot.
     ``shapes`` interns machine keys, so a thousand identical machines
     hold one key tuple.
+
+    ``indexes`` maps (job key, declared memory) → :class:`_CandidateIndex`
+    for policies that draw from their usable candidates. A deduction
+    appends the snapshot's position in the cycle's candidate list to
+    ``deducted``; each index settles the distinct positions past its own
+    cursor the next time its autocluster draws.
     """
 
-    __slots__ = ("answers", "machine_keys", "shapes")
+    __slots__ = (
+        "answers", "machine_keys", "shapes", "indexes", "deducted",
+        "ordinals", "positions",
+    )
 
     def __init__(self) -> None:
         self.answers: dict[tuple, dict[tuple, bool]] = {}
         self.machine_keys: dict[tuple[str, ...], dict[int, Optional[tuple]]] = {}
         self.shapes: dict[tuple, tuple] = {}
+        self.indexes: dict[tuple, _CandidateIndex] = {}
+        self.deducted: list[int] = []
+        #: Positions ``0 .. n-1`` in the cycle's candidate list and
+        #: ``id(snapshot)`` → position, built by the first scan; every
+        #: index holds these int objects rather than copies.
+        self.ordinals: Optional[list[int]] = None
+        self.positions: Optional[dict[int, int]] = None
+
+    def key_of(self, snapshot, view, names, machine_keys) -> Optional[tuple]:
+        """Compute, intern and remember ``snapshot``'s machine key."""
+        key = _machine_key(view.ad(snapshot), names)
+        if key is not None:
+            # Share one tuple per machine shape.
+            key = self.shapes.setdefault(key, key)
+        machine_keys[id(snapshot)] = key
+        return key
+
+    def scan(self, job, answers, names, view, snapshots, usable, declared):
+        """Walk every snapshot: the matching positions ``usable`` keeps.
+
+        Returns ``(positions, hits, bypassed)``: ``hits`` probes came
+        from the memo, and ``bypassed`` says a machine skipped it (its
+        answer holds for this job only).
+        """
+        machine_keys = self.machine_keys.setdefault(names, {})
+        ordinals = self.ordinals
+        if ordinals is None:
+            ordinals = self.ordinals = list(range(len(snapshots)))
+            self.positions = dict(zip(map(id, snapshots), ordinals))
+        positions = []
+        hits = 0
+        bypassed = False
+        for pos, snapshot in zip(ordinals, snapshots):
+            key = machine_keys.get(id(snapshot), _UNKEYED)
+            if key is _UNKEYED:
+                key = self.key_of(snapshot, view, names, machine_keys)
+            if key is None:
+                bypassed = True
+                ok = symmetric_match(job, view.ad(snapshot))
+            else:
+                ok = answers.get(key)
+                if ok is None:
+                    ok = answers[key] = symmetric_match(job, view.ad(snapshot))
+                else:
+                    hits += 1
+            if ok and (usable is None or usable(snapshot, declared)):
+                positions.append(pos)
+        return positions, hits, bypassed
+
+    def candidate_index(self, job, job_key, names, view, snapshots, usable,
+                        declared, stats) -> "_CandidateIndex":
+        """The usable matching snapshots, from the autocluster's index.
+
+        The first job of an autocluster builds the index with the full
+        scan; later ones settle the positions deducted since and never
+        touch the other machines. A scan that met a bypassing machine
+        serves this job only.
+        """
+        answers = self.answers[job_key]
+        index_key = (job_key, declared)
+        index = self.indexes.get(index_key)
+        if index is None:
+            positions, hits, bypassed = self.scan(
+                job, answers, names, view, snapshots, usable, declared
+            )
+            stats.autocluster_hits += hits
+            index = _CandidateIndex(positions, snapshots, len(self.deducted))
+            if not bypassed:
+                self.indexes[index_key] = index
+            return index
+        ran = self.settle(
+            index, job, answers, names, view, usable, declared, stats
+        )
+        stats.autocluster_hits += len(snapshots) - ran
+        stats.indexed_draws += 1
+        return index
+
+    def settle(self, index, job, answers, names, view, usable, declared,
+               stats) -> int:
+        """Bring ``index`` up to date; returns the evaluations that ran.
+
+        Only positions deducted since the index last drew can have
+        changed: each takes its machine's current key (a bypassing
+        machine never reaches a live index) and moves in or out of the
+        sorted list by bisection, in any order.
+        """
+        deducted = self.deducted
+        if index.settled == len(deducted):
+            return 0
+        dirty = set(deducted[index.settled:])
+        index.settled = len(deducted)
+        stats.index_settles += len(dirty)
+        machine_keys = self.machine_keys[names]
+        positions = index.positions
+        snapshots = index.snapshots
+        ran = 0
+        for pos in dirty:
+            snapshot = snapshots[pos]
+            key = machine_keys.get(id(snapshot), _UNKEYED)
+            if key is _UNKEYED:
+                key = self.key_of(snapshot, view, names, machine_keys)
+            ok = answers.get(key)
+            if ok is None:
+                ok = answers[key] = symmetric_match(job, view.ad(snapshot))
+                ran += 1
+            i = bisect_left(positions, pos)
+            present = i < len(positions) and positions[i] == pos
+            if ok and usable(snapshot, declared):
+                if not present:
+                    positions.insert(i, pos)
+            elif present:
+                del positions[i]
+        return ran
 
     def forget(self, snapshot: MachineSnapshot) -> None:
         sid = id(snapshot)
         for keys in self.machine_keys.values():
             keys.pop(sid, None)
+        if self.indexes:
+            # A live index means a scan ran and built ``positions``.
+            pos = self.positions.get(sid)
+            if pos is not None:
+                self.deducted.append(pos)
+
+
+class _CandidateIndex:
+    """One autocluster's usable candidates: sorted snapshot positions.
+
+    Read as a sequence of snapshots (``len`` and indexing), so a policy
+    draws from it exactly as from the list a scan would have built.
+    ``settled`` is how far into the cycle's deduction log it is current.
+    """
+
+    __slots__ = ("positions", "snapshots", "settled")
+
+    def __init__(self, positions: list[int], snapshots, settled: int) -> None:
+        self.positions = positions
+        self.snapshots = snapshots
+        self.settled = settled
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, i: int) -> MachineSnapshot:
+        return self.snapshots[self.positions[i]]
 
 
 #: ``machine_keys`` marker for a snapshot not keyed yet this cycle.
@@ -177,6 +334,10 @@ class PlacementPolicy:
     sharing = True
     #: Whether submit ads require advertised free device memory.
     memory_aware = True
+    #: Whether the policy chooses with ``usable(snapshot, declared)`` and
+    #: ``draw(viable, declared)``, so the negotiator may serve full scans
+    #: from a per-cycle candidate index (see :class:`RandomPlacement`).
+    indexed = False
 
     def exhausted(self, snapshots: list[MachineSnapshot]) -> bool:
         """True when no pending job could possibly be placed this cycle."""
@@ -249,45 +410,70 @@ class RandomPlacement(PlacementPolicy):
     arbitrarily to Xeon Phi coprocessors" (§V) — but Condor still tracks
     the advertised free device memory, so a candidate needs a device with
     enough unreserved declared memory and a free host slot.
+
+    Whether a matched snapshot can take the job depends only on the
+    snapshot and the declared memory (:meth:`usable`), and the draw only
+    on the usable list (:meth:`draw`), so the negotiator may hand it a
+    per-cycle candidate index instead of the full candidate list.
     """
+
+    indexed = True
 
     def __init__(self, rng: random.Random, memory_aware: bool = False) -> None:
         self.rng = rng
         self.memory_aware = memory_aware
 
-    def place(self, record, candidates):
-        declared = record.profile.declared_memory_mb
-        viable: list[tuple] = []
-        for snapshot in candidates:
-            if snapshot.free_slots <= 0:
-                continue
-            fitting = [
-                d
-                for d in snapshot.devices
-                if not d.claimed_exclusive
+    def usable(self, snapshot: MachineSnapshot, declared: float) -> bool:
+        """A free host slot and at least one device the job may share."""
+        if snapshot.free_slots <= 0:
+            return False
+        memory_aware = self.memory_aware
+        for d in snapshot.devices:
+            if (
+                not d.claimed_exclusive
                 and not d.failed
-                and (not self.memory_aware or d.free_declared_mb >= declared)
-            ]
-            if fitting:
-                viable.append((snapshot, fitting))
+                and (not memory_aware or d.free_declared_mb >= declared)
+            ):
+                return True
+        return False
+
+    def _fitting(self, snapshot, declared):
+        """Devices of ``snapshot`` the job may share (:meth:`usable`'s
+        card test, kept inline there: it runs once per scanned machine)."""
+        memory_aware = self.memory_aware
+        return [
+            d
+            for d in snapshot.devices
+            if not d.claimed_exclusive
+            and not d.failed
+            and (not memory_aware or d.free_declared_mb >= declared)
+        ]
+
+    def draw(self, viable, declared: float):
+        """Uniform node from the ``viable`` sequence, then uniform device.
+
+        ``viable`` only needs ``len`` and indexing: ``rng.choice`` makes
+        one ``_randbelow(len)`` call, so a list and an index of the same
+        snapshots in the same order consume the same RNG draws.
+        """
         if not viable:
             return None
-        snapshot, fitting = self.rng.choice(viable)
-        device = self.rng.choice(fitting)
+        snapshot = self.rng.choice(viable)
+        device = self.rng.choice(self._fitting(snapshot, declared))
         return snapshot, device.index, False
+
+    def place(self, record, candidates):
+        declared = record.profile.declared_memory_mb
+        usable = self.usable
+        return self.draw([s for s in candidates if usable(s, declared)], declared)
 
     def prefilter(self, record, snapshots):
         declared = record.profile.declared_memory_mb
-        return any(
-            s.free_slots > 0
-            and any(
-                not d.claimed_exclusive
-                and not d.failed
-                and (not self.memory_aware or d.free_declared_mb >= declared)
-                for d in s.devices
-            )
-            for s in snapshots
-        )
+        usable = self.usable
+        for snapshot in snapshots:
+            if usable(snapshot, declared):
+                return True
+        return False
 
 
 class BestFitPlacement(PlacementPolicy):
@@ -651,6 +837,8 @@ class Negotiator:
             prof.autocluster_hits += stats.autocluster_hits
             prof.pin_routed += stats.pin_routed
             prof.full_scans += stats.full_scans
+            prof.indexed_draws += stats.indexed_draws
+            prof.index_settles += stats.index_settles
         if tracer is not None:
             # A cycle occupies zero *simulated* time; the span carries
             # its outcome in args (matches, queue examined).
@@ -731,6 +919,7 @@ class Negotiator:
         job = record.ad
         names = plan.significant
         signature = _signature(job, names)
+        policy = self.policy
         if signature is None:
             candidates = [
                 snapshot
@@ -740,32 +929,21 @@ class Negotiator:
         else:
             job_key = (job._attrs["requirements"], *signature)
             answers = autoclusters.answers.setdefault(job_key, {})
-            machine_keys = autoclusters.machine_keys.setdefault(names, {})
-            shapes = autoclusters.shapes
-            candidates = []
-            hits = 0
-            for snapshot in snapshots:
-                key = machine_keys.get(id(snapshot), _UNKEYED)
-                if key is _UNKEYED:
-                    key = _machine_key(view.ad(snapshot), names)
-                    if key is not None:
-                        # Share one tuple per machine shape.
-                        key = shapes.setdefault(key, key)
-                    machine_keys[id(snapshot)] = key
-                if key is None:
-                    ok = symmetric_match(job, view.ad(snapshot))
-                else:
-                    ok = answers.get(key)
-                    if ok is None:
-                        ok = answers[key] = symmetric_match(job, view.ad(snapshot))
-                    else:
-                        hits += 1
-                if ok:
-                    candidates.append(snapshot)
+            if policy.indexed:
+                declared = record.profile.declared_memory_mb
+                viable = autoclusters.candidate_index(
+                    job, job_key, names, view, snapshots, policy.usable,
+                    declared, stats,
+                )
+                return policy.draw(viable, declared)
+            positions, hits, _ = autoclusters.scan(
+                job, answers, names, view, snapshots, None, None
+            )
             stats.autocluster_hits += hits
+            candidates = [snapshots[pos] for pos in positions]
         if not candidates:
             return None
-        return self.policy.place(record, candidates)
+        return policy.place(record, candidates)
 
     def __repr__(self) -> str:
         return (

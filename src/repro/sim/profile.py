@@ -55,6 +55,10 @@ class SimProfiler:
     autocluster_hits:
         Probes answered from the negotiator's per-cycle autoclusters;
         ``match_probes - autocluster_hits`` evaluations actually ran.
+    indexed_draws / index_settles:
+        Full scans served from a per-cycle candidate index without
+        walking the machines, and deducted positions those indexes
+        re-examined before drawing.
     compile_hits / compile_misses / compile_evictions:
         ClassAd closure-compiler cache traffic (see
         :mod:`repro.condor.compile`); evictions count LRU drops across
@@ -87,6 +91,8 @@ class SimProfiler:
         "pin_routed",
         "full_scans",
         "autocluster_hits",
+        "indexed_draws",
+        "index_settles",
         "compile_hits",
         "compile_misses",
         "compile_evictions",
@@ -117,6 +123,8 @@ class SimProfiler:
         self.pin_routed = 0
         self.full_scans = 0
         self.autocluster_hits = 0
+        self.indexed_draws = 0
+        self.index_settles = 0
         self.compile_hits = 0
         self.compile_misses = 0
         self.compile_evictions = 0
@@ -223,6 +231,12 @@ class SimProfiler:
             lines.append(
                 f"{'classad evals run':<24}"
                 f"{self.match_probes - self.autocluster_hits:>16,}"
+            )
+            lines.append(
+                f"{'indexed draws':<24}{self.indexed_draws:>16,}"
+            )
+            lines.append(
+                f"{'index settles':<24}{self.index_settles:>16,}"
             )
             lines.append(
                 f"{'evals/cycle':<24}{per_cycle:>16,.1f}"

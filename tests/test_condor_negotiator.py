@@ -1,5 +1,6 @@
 """Unit tests for placement policies, machine/job ads, and negotiation."""
 
+import contextlib
 import random
 from unittest import mock
 
@@ -28,9 +29,11 @@ from repro.condor import (
 from repro.condor import collector as collector_module
 from repro.condor import negotiator as negotiator_module
 from repro.condor.collector import AMBIGUOUS_NAME
+from repro.condor.compile import requirements_plan
 from repro.net.profile import NetProfile
 from repro.phi import XeonPhiSpec
 from repro.sim import Environment
+from repro.sim import profile as profile_module
 from repro.workloads import (
     HostPhase,
     JobProfile,
@@ -384,6 +387,22 @@ class TestAutoclusters:
         # j0's deduction changed.
         assert stats.autocluster_hits == 4
 
+    def test_later_jobs_of_a_shape_draw_from_the_index(self):
+        env = Environment()
+        schedd, _, negotiator = _pool(
+            env, RandomPlacement(random.Random(0)), nodes=3,
+        )
+        for i in range(3):
+            schedd.submit(make_profile(f"j{i}"))
+        assert negotiator.negotiate_once() == 3
+        stats = negotiator.last_cycle
+        assert (stats.full_scans, stats.evals) == (3, 9)
+        # j0 walks the pool (one shape, one evaluation); j1 and j2 each
+        # settle the one node the job before them took, evaluating its
+        # new shape unless an earlier deduction already produced it.
+        assert (stats.indexed_draws, stats.index_settles) == (2, 2)
+        assert 2 <= stats.evals - stats.autocluster_hits <= 3
+
     def test_negative_zero_does_not_share_a_key(self):
         assert negotiator_module._signature(
             _ad_with(x=0.0), ("x",)
@@ -415,21 +434,33 @@ def _ad_with(**attrs):
 
 # -- decision identity: memoized vs uncached matchmaking ----------------------
 
-#: One node: (cards, card memory MB, host slots, failed card indices).
+#: One node: (cards, card memory MB, host slots, failed card indices,
+#: exclusively claimed card indices).
 _nodes = st.tuples(
     st.integers(1, 3),
     st.sampled_from([2048, 4096, 8192]),
-    st.integers(1, 3),
+    st.integers(1, 4),
     st.sets(st.integers(0, 2), max_size=2),
+    st.sets(st.integers(0, 2), max_size=1),
+)
+
+#: Requirements a machine only meets once deductions have taken some of
+#: its slots: a candidate index must *insert* it, not just drop it.
+_FEW_SLOTS = (
+    "TARGET.FreeSlots < 3 && TARGET.FreeSlots >= 1"
+    " && MY.RequestPhiMemory <= TARGET.PhiMemory"
 )
 
 #: One job: (declared memory MB, threads, submit-ad edit). ``"expr"``
 #: makes RequestPhiDevices expression-valued over an attribute no
-#: Requirements reads; ``"true"`` / ``"1"`` are the bool-vs-int pair.
+#: Requirements reads; ``"true"`` / ``"1"`` are the bool-vs-int pair;
+#: ``"fewslots"`` rewrites Requirements to :data:`_FEW_SLOTS`;
+#: ``"samemem"`` advertises 1000 MB whatever the declared memory, so jobs
+#: that share an autocluster may still differ in what a card must hold.
 _jobs = st.tuples(
     st.sampled_from([300.0, 1000.0, 2500.0, 5000.0]),
     st.sampled_from([60, 120, 240]),
-    st.sampled_from([None, "true", "1", "expr"]),
+    st.sampled_from([None, "true", "1", "expr", "fewslots", "samemem"]),
 )
 
 #: Machine attributes set explicitly, shadowing the computed ones.
@@ -439,6 +470,8 @@ _shadows = st.sampled_from([
     ("PhiDevices", True),
     ("PhiFreeMemory", -0.0),
     ("PhiDevices", 1.0),
+    # Expression-valued: the machine bypasses the autoclusters.
+    ("PhiDevices", "MY.FreeSlots"),
 ])
 
 _POLICIES = ("MCC", "MCC-aware", "BESTFIT", "MC")
@@ -452,16 +485,19 @@ def _policy(name, seed):
     return RandomPlacement(random.Random(seed), memory_aware=name == "MCC-aware")
 
 
-def _recording(policy, log):
-    place = policy.place
+def _recording(negotiator, log):
+    """Log every (cycle, job, node, device) the negotiator matches,
+    whichever route (pinned, scan or candidate index) chose it."""
+    match = negotiator._match
 
-    def recorded(record, candidates):
-        placement = place(record, candidates)
+    def recorded(record, *args):
+        placement = match(record, *args)
         if placement is not None:
-            log.append((record.job_id, placement[0].node, placement[1]))
+            log.append((negotiator.cycles_run, record.job_id,
+                        placement[0].node, placement[1]))
         return placement
 
-    policy.place = recorded
+    negotiator._match = recorded
 
 
 def _customized(overrides):
@@ -471,7 +507,7 @@ def _customized(overrides):
     def build(snap):
         ad = real(snap)
         for name, value in overrides.get(snap.node, ()):
-            if name == "Requirements":
+            if isinstance(value, str):
                 ad.set_expr(name, value)
             else:
                 ad[name] = value
@@ -480,30 +516,49 @@ def _customized(overrides):
     return build
 
 
-def _signature(uncached):
-    """The key helper to run with: the real one, or one that sends every
-    job down the uncached ``symmetric_match`` path."""
-    if uncached:
-        return lambda ad, names: None
-    return negotiator_module._signature
+def _matchmaking_mode(mode):
+    """Patches selecting how full scans run: ``"index"`` (the default:
+    autoclusters plus candidate indexes), ``"memo"`` (autoclusters, every
+    job walks the machines) or ``"uncached"`` (every job down the plain
+    ``symmetric_match`` path)."""
+    if mode == "uncached":
+        return [mock.patch.object(negotiator_module, "_signature",
+                                  lambda ad, names: None)]
+    if mode == "memo":
+        return [mock.patch.object(RandomPlacement, "indexed", False)]
+    return []
 
 
-def _run_scenario(policy_name, seed, nodes, jobs, shadow, uncached):
+def _counting_matches(calls):
+    real = negotiator_module.symmetric_match
+
+    def counted(job, machine):
+        calls.append(1)
+        return real(job, machine)
+
+    return mock.patch.object(negotiator_module, "symmetric_match", counted)
+
+
+def _run_scenario(policy_name, seed, nodes, jobs, shadow, twin, mode):
     env = Environment()
     policy = _policy(policy_name, seed)
     log = []
-    _recording(policy, log)
     schedd = Schedd(env)
     collector = Collector()
-    mode = "exclusive" if policy_name == "MC" else "cosmic"
-    shapes = list(enumerate(nodes)) + [("twin", nodes[0])]
-    for index, (cards, memory, slots, failed) in shapes:
-        node = ComputeNode(env, f"n{index}", num_devices=cards, mode=mode,
+    kind = "exclusive" if policy_name == "MC" else "cosmic"
+    shapes = list(enumerate(nodes))
+    if twin:
+        shapes.append(("twin", nodes[0]))
+    for index, (cards, memory, slots, failed, claimed) in shapes:
+        node = ComputeNode(env, f"n{index}", num_devices=cards, mode=kind,
                            spec=XeonPhiSpec(memory_mb=memory))
         for card in sorted(failed):
             if card < cards:
                 node.fail_device(card)
-        collector.register(Startd(env, schedd, node, slots=slots))
+        startd = Startd(env, schedd, node, slots=slots)
+        # A card held by an exclusive claim no job of this run releases.
+        startd._exclusive_claims.update(c for c in claimed if c < cards)
+        collector.register(startd)
     for i, (memory, threads, edit) in enumerate(jobs):
         record = schedd.submit(
             make_profile(f"j{i}", memory=memory, threads=threads),
@@ -512,6 +567,10 @@ def _run_scenario(policy_name, seed, nodes, jobs, shadow, uncached):
         if edit == "expr":
             schedd.qedit(record.job_id, "RequestPhiDevices",
                          "RequestPhiThreads / 120")
+        elif edit == "fewslots":
+            schedd.qedit(record.job_id, "Requirements", _FEW_SLOTS)
+        elif edit == "samemem":
+            schedd.qedit(record.job_id, "RequestPhiMemory", "1000.0")
         elif edit is not None:
             schedd.qedit(record.job_id, "RequestPhiDevices", edit)
     shadow_node, shadow_attr = shadow
@@ -523,21 +582,35 @@ def _run_scenario(policy_name, seed, nodes, jobs, shadow, uncached):
                    " && TARGET.RequestPhiMemory <= MY.PhiMemory")],
     }
     negotiator = Negotiator(env, schedd, collector, policy)
+    _recording(negotiator, log)
     build = _customized(overrides)
-    with mock.patch.object(collector_module, "machine_ad", build), \
-            mock.patch.object(negotiator_module, "machine_ad", build), \
-            mock.patch.object(negotiator_module, "_signature",
-                              _signature(uncached)):
-        negotiator.start()
-        env.run(until=60)
+    calls = []
+    prof = profile_module.activate()
+    try:
+        with contextlib.ExitStack() as stack:
+            for patch in [
+                mock.patch.object(collector_module, "machine_ad", build),
+                mock.patch.object(negotiator_module, "machine_ad", build),
+                _counting_matches(calls),
+                *_matchmaking_mode(mode),
+            ]:
+                stack.enter_context(patch)
+            negotiator.start()
+            env.run(until=60)
+    finally:
+        profile_module.deactivate()
+    # Counters stay exact: every probe not answered by the autoclusters
+    # ran ``symmetric_match``.
+    assert prof.match_probes - prof.autocluster_hits == len(calls)
     rng = policy.rng.getstate() if hasattr(policy, "rng") else None
     statuses = sorted((r.job_id, r.status) for r in schedd.all_records())
-    return log, rng, statuses
+    return (log, rng, statuses), len(calls), prof
 
 
 class TestDecisionIdentity:
-    """The autocluster memo changes how often ClassAds are evaluated,
-    never which (job, node, device) the negotiator picks."""
+    """The autocluster memo and the candidate indexes change how often
+    ClassAds are evaluated and machines walked, never which (job, node,
+    device) the negotiator picks or how the placement RNG advances."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -546,36 +619,160 @@ class TestDecisionIdentity:
         nodes=st.lists(_nodes, min_size=2, max_size=5),
         jobs=st.lists(_jobs, min_size=3, max_size=12),
         shadow=st.tuples(st.integers(0, 4), _shadows),
+        twin=st.booleans(),
     )
     def test_memo_matches_uncached_path(self, policy_name, seed, nodes,
-                                        jobs, shadow):
-        cached = _run_scenario(policy_name, seed, nodes, jobs, shadow, False)
-        uncached = _run_scenario(policy_name, seed, nodes, jobs, shadow, True)
-        assert cached == uncached
+                                        jobs, shadow, twin):
+        args = (policy_name, seed, nodes, jobs, shadow, twin)
+        indexed, index_calls, _ = _run_scenario(*args, "index")
+        memo, memo_calls, _ = _run_scenario(*args, "memo")
+        uncached, _, _ = _run_scenario(*args, "uncached")
+        assert indexed == memo == uncached
+        # The index never evaluates a pair the memo-only scan would not.
+        assert index_calls <= memo_calls
+
+    def test_index_inserts_a_newly_matching_machine(self):
+        """n1 only meets :data:`_FEW_SLOTS` after another job's deduction;
+        the third job must find it through its settled index."""
+        nodes = [(1, 8192, 1, set(), set()), (1, 8192, 3, set(), set())]
+        jobs = [(1000.0, 60, "fewslots"), (1000.0, 60, None),
+                (1000.0, 60, "fewslots")]
+        shadow = (0, ("PhiMemory", 8192.0))
+        args = ("MCC", 5, nodes, jobs, shadow, False)
+        indexed, _, prof = _run_scenario(*args, "index")
+        log = indexed[0]
+        assert [entry[:3] for entry in log] == [
+            (1, "j0", "n0"), (1, "j1", "n1"), (1, "j2", "n1"),
+        ]
+        assert prof.indexed_draws >= 1
+        assert prof.index_settles >= 2
+        assert indexed == _run_scenario(*args, "uncached")[0]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_index_is_per_declared_memory(self, seed):
+        """j0 and j1 advertise the same RequestPhiMemory, so they share an
+        autocluster, but only j0's declared memory fits n1's card: j1
+        must not draw from j0's candidates."""
+        nodes = [(1, 8192, 3, set(), set()), (1, 2048, 3, set(), set())]
+        jobs = [(300.0, 60, "samemem"), (5000.0, 60, "samemem")]
+        shadow = (0, ("PhiMemory", 8192.0))
+        args = ("MCC-aware", seed, nodes, jobs, shadow, False)
+        indexed = _run_scenario(*args, "index")[0]
+        assert indexed[0][1][1:3] == ("j1", "n0")
+        assert indexed == _run_scenario(*args, "uncached")[0]
+
+    def test_bypassing_machine_keeps_the_scan(self):
+        """ntwin's own Requirements read RequestPhiThreads, which is not
+        in the job key: j0 and j1 share an autocluster yet only j1 fits
+        the twin, so j0's scan must not serve j1 as an index."""
+        nodes = [(1, 8192, 1, set(), set())]
+        jobs = [(1000.0, 240, None), (1000.0, 60, None)]
+        shadow = (0, ("PhiMemory", 8192.0))
+        args = ("MCC", 5, nodes, jobs, shadow, True)
+        indexed, _, prof = _run_scenario(*args, "index")
+        assert [entry[:3] for entry in indexed[0]] == [
+            (1, "j0", "n0"), (1, "j1", "ntwin"),
+        ]
+        assert prof.indexed_draws == 0
+        assert indexed == _run_scenario(*args, "uncached")[0]
 
     def test_fabric_mode_run_is_identical(self):
-        def run(uncached):
+        def run(mode):
             log = []
-            place = RandomPlacement.place
+            match = Negotiator._match
 
-            def recorded(policy, record, candidates):
-                placement = place(policy, record, candidates)
+            def recorded(negotiator, record, *args):
+                placement = match(negotiator, record, *args)
                 if placement is not None:
-                    log.append((record.job_id, placement[0].node,
-                                placement[1]))
+                    log.append((negotiator.cycles_run, record.job_id,
+                                placement[0].node, placement[1]))
                 return placement
 
-            with mock.patch.object(RandomPlacement, "place", recorded), \
-                    mock.patch.object(negotiator_module, "_signature",
-                                      _signature(uncached)):
+            with contextlib.ExitStack() as stack:
+                for patch in [mock.patch.object(Negotiator, "_match", recorded),
+                              *_matchmaking_mode(mode)]:
+                    stack.enter_context(patch)
                 result = _fabric_mcc()
             outcomes = [(r.job_id, r.start, r.end, r.status)
                         for r in result.job_results]
             return log, outcomes, result.makespan
 
-        cached = run(False)
-        assert cached[0], "no placements recorded"
-        assert cached == run(True)
+        indexed = run("index")
+        assert indexed[0], "no placements recorded"
+        assert indexed == run("memo") == run("uncached")
+
+
+#: One in-cycle deduction: (node, device, exclusive claim).
+_deductions = st.tuples(st.integers(0, 7), st.integers(0, 1), st.booleans())
+
+
+class TestCandidateIndex:
+    """Settling replays deductions into the sorted position list."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        slots=st.lists(st.integers(0, 5), min_size=1, max_size=8),
+        steps=st.lists(_deductions, max_size=14),
+        memory_aware=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_settled_index_draws_like_a_rebuilt_list(
+        self, slots, steps, memory_aware, seed
+    ):
+        snapshots = [
+            MachineSnapshot(
+                node=f"n{i}", total_slots=8, free_slots=free,
+                devices=[
+                    DeviceSnapshot(index=d, memory_mb=8192.0,
+                                   free_declared_mb=8192.0, resident_jobs=0,
+                                   hardware_threads=240,
+                                   claimed_exclusive=False)
+                    for d in range(2)
+                ],
+            )
+            for i, free in enumerate(slots)
+        ]
+        view = negotiator_module.SnapshotCycleView(snapshots, None)
+        job = record(memory=3000.0, memory_aware=memory_aware)
+        # Machines enter as deductions take them below three free slots
+        # and leave at zero or once no device can take the job.
+        job.ad.set_expr("Requirements", _FEW_SLOTS)
+        names = requirements_plan(job.ad.get_expr("Requirements")).significant
+        job_key = (job.ad._attrs["requirements"],
+                   *negotiator_module._signature(job.ad, names))
+        declared = job.profile.declared_memory_mb
+        policy = RandomPlacement(random.Random(0), memory_aware=memory_aware)
+
+        def scan(autoclusters):
+            answers = autoclusters.answers.setdefault(job_key, {})
+            return answers, autoclusters.scan(
+                job.ad, answers, names, view, snapshots, policy.usable,
+                declared,
+            )
+
+        autoclusters = negotiator_module._Autoclusters()
+        answers, (positions, _, bypassed) = scan(autoclusters)
+        assert not bypassed
+        index = negotiator_module._CandidateIndex(positions, snapshots, 0)
+        autoclusters.indexes[job_key] = index
+        for step, (node, device, exclusive) in enumerate(steps):
+            snap = snapshots[node % len(snapshots)]
+            if snap.free_slots > 0:
+                policy.deduct(snap, device, exclusive, declared)
+                autoclusters.forget(snap)
+            if step % 2:
+                continue
+            autoclusters.settle(index, job.ad, answers, names, view,
+                                policy.usable, declared,
+                                negotiator_module.CycleStats())
+            _, (rebuilt, _, _) = scan(negotiator_module._Autoclusters())
+            assert index.positions == rebuilt
+            drawn = RandomPlacement(random.Random(seed + step), memory_aware)
+            listed = RandomPlacement(random.Random(seed + step), memory_aware)
+            a = drawn.draw(index, declared)
+            b = listed.draw([snapshots[pos] for pos in rebuilt], declared)
+            assert (a and (a[0].node, a[1])) == (b and (b[0].node, b[1]))
+            assert drawn.rng.getstate() == listed.rng.getstate()
 
 
 def _fabric_mcc():

@@ -94,6 +94,40 @@ class TestSimProfiler:
         ):
             assert needle in text
 
+    def test_candidate_index_counters_render(self):
+        import random
+
+        from repro.cluster import ComputeNode
+        from repro.condor import (
+            Collector,
+            Negotiator,
+            RandomPlacement,
+            Schedd,
+            Startd,
+        )
+        from repro.workloads import JobProfile, OffloadPhase
+
+        prof = profile.activate()
+        env = Environment()
+        schedd = Schedd(env)
+        collector = Collector()
+        for i in range(4):
+            node = ComputeNode(env, f"n{i}", mode="cosmic")
+            collector.register(Startd(env, schedd, node, slots=4))
+        for i in range(3):
+            schedd.submit(JobProfile(
+                job_id=f"j{i}", app="t",
+                phases=(OffloadPhase(work=1, threads=60, memory_mb=500.0),),
+                declared_memory_mb=500.0, declared_threads=60,
+            ))
+        negotiator = Negotiator(env, schedd, collector,
+                                RandomPlacement(random.Random(0)))
+        assert negotiator.negotiate_once() == 3
+        assert (prof.indexed_draws, prof.index_settles) == (2, 2)
+        text = prof.render()
+        assert "indexed draws" in text
+        assert "index settles" in text
+
     def test_deactivate_detaches_future_environments(self):
         prof = profile.activate()
         assert profile.deactivate() is prof

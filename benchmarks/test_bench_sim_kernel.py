@@ -66,7 +66,7 @@ def _fig8_cell():
     for task in fig8_tasks(jobs=400):
         params = dict(task.params)
         workload = params.get("workload")
-        if params.get("configuration") == "MCCK" and workload[2] == "normal":
+        if params["policy"].name == "MCCK" and workload[2] == "normal":
             return task
     raise AssertionError("fig8 grid no longer contains MCCK/normal")
 

@@ -12,7 +12,7 @@ This walks the two layers of the public API:
 Run: python examples/quickstart.py
 """
 
-from repro.cluster import ClusterConfig, run_mc, run_mcc, run_mcck
+from repro.cluster import PAPER_POLICIES, ClusterConfig, run
 from repro.core import DevicePacker, paper_value
 from repro.metrics import format_table, percent_reduction
 from repro.workloads import generate_table1_jobs
@@ -46,9 +46,7 @@ def run_small_cluster() -> None:
     jobs = generate_table1_jobs(60, seed=2)
     config = ClusterConfig(nodes=2)
 
-    mc = run_mc(jobs, config)
-    mcc = run_mcc(jobs, config)
-    mcck = run_mcck(jobs, config)
+    mc, mcc, mcck = (run(jobs, config, policy) for policy in PAPER_POLICIES)
 
     rows = []
     for result in (mc, mcc, mcck):

@@ -10,31 +10,33 @@ from .validate import (
     validate_pool,
 )
 from .simulation import (
-    CONFIGURATIONS,
+    MC,
+    MCC,
+    MCCK,
+    PAPER_POLICIES,
+    BestFit,
     ClusterConfig,
+    Policy,
     SimulationResult,
     needs_recovery,
-    run_best_fit,
-    run_configuration,
-    run_mc,
-    run_mcc,
-    run_mcck,
+    run,
 )
 
 __all__ = [
-    "CONFIGURATIONS",
+    "BestFit",
     "ClusterConfig",
     "ComputeNode",
+    "MC",
+    "MCC",
+    "MCCK",
     "MODES",
+    "PAPER_POLICIES",
+    "Policy",
     "SimulationResult",
     "ValidationReport",
     "Violation",
     "needs_recovery",
-    "run_best_fit",
-    "run_configuration",
-    "run_mc",
-    "run_mcc",
-    "run_mcck",
+    "run",
     "validate_devices",
     "validate_exclusive",
     "validate_fabric",

@@ -7,24 +7,28 @@ simulation to completion, and collect the metrics the paper reports.
 * **MC** — MPSS + Condor: exclusive coprocessor allocation (baseline).
 * **MCC** — + COSMIC: random cluster-level placement, safe node sharing.
 * **MCCK** — + the knapsack cluster scheduler (the proposed system).
+
+Each stack is a :class:`Policy` value (plus the extra :class:`BestFit`
+baseline) and :func:`run` is the one run path for all of them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import ClassVar, Optional, Sequence
 
 from ..condor import (
     COMPLETED,
     FAILED,
+    BestFitPlacement,
     CondorPool,
     ExclusivePlacement,
     PinnedPlacement,
     PlacementPolicy,
     RandomPlacement,
 )
-from ..core import DevicePacker, KnapsackClusterScheduler
+from ..core import DevicePacker, KnapsackClusterScheduler, get_value_function
 from ..faults import FaultInjector, FaultProfile, FaultSchedule
 from ..mpss import JobRunResult, SCIFModel
 from ..net.profile import NetProfile
@@ -32,9 +36,6 @@ from ..phi import PAPER_SPEC, XeonPhiSpec
 from ..sim import Environment
 from ..workloads.profiles import JobProfile
 from .node import ComputeNode
-
-CONFIGURATIONS = ("MC", "MCC", "MCCK")
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -125,6 +126,18 @@ class SimulationResult:
     @property
     def failed_jobs(self) -> int:
         return len(self.job_results) - self.completed_jobs
+
+    def scalars(self) -> dict:
+        """Every field except the per-device and per-job lists, plus the
+        utilization and completed-job summaries (one runner cell)."""
+        values = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if not isinstance(getattr(self, f.name), list)
+        }
+        values["mean_core_utilization"] = self.mean_core_utilization
+        values["completed_jobs"] = self.completed_jobs
+        return values
 
 
 def needs_recovery(faults: Optional[FaultProfile]) -> bool:
@@ -299,22 +312,144 @@ def _collect(
     )
 
 
-def run_mc(
+@dataclass(frozen=True)
+class Policy:
+    """One software stack of §V: node mode, placement, optional scheduler.
+
+    A policy is a frozen value, so it can travel in a runner cell and
+    take part in its cache key. ``placement`` builds the negotiator's
+    per-run :class:`PlacementPolicy`; ``attach`` wires anything that
+    drives placement from outside the negotiator into a built pool and
+    returns it (the knapsack scheduler), or ``None``.
+    """
+
+    name: ClassVar[str]
+    #: Node execution mode (see :data:`repro.cluster.MODES`).
+    mode: ClassVar[str] = "cosmic"
+
+    def placement(self, config: ClusterConfig) -> PlacementPolicy:
+        raise NotImplementedError
+
+    def attach(
+        self, pool: CondorPool, config: ClusterConfig
+    ) -> Optional[KnapsackClusterScheduler]:
+        return None
+
+
+@dataclass(frozen=True)
+class MC(Policy):
+    """Baseline: exclusive coprocessor allocation (MPSS + Condor)."""
+
+    name: ClassVar[str] = "MC"
+    mode: ClassVar[str] = "exclusive"
+
+    def placement(self, config: ClusterConfig) -> PlacementPolicy:
+        return ExclusivePlacement()
+
+
+@dataclass(frozen=True)
+class MCC(Policy):
+    """MPSS + Condor + COSMIC: random placement, safe node-level sharing.
+
+    With the default ``memory_aware=False``, placement is the paper's
+    "packed arbitrarily": any node with a free host slot; COSMIC queues
+    jobs at the node until their declaration fits the card.
+    """
+
+    memory_aware: bool = False
+    name: ClassVar[str] = "MCC"
+
+    def placement(self, config: ClusterConfig) -> PlacementPolicy:
+        return RandomPlacement(
+            random.Random(config.seed), memory_aware=self.memory_aware
+        )
+
+
+@dataclass(frozen=True)
+class BestFit(Policy):
+    """Extra baseline (not in the paper): best-fit placement over COSMIC.
+
+    Memory-aware greedy placement with no look-ahead over the pending
+    set, between MCC (random) and MCCK (knapsack).
+    """
+
+    name: ClassVar[str] = "BESTFIT"
+
+    def placement(self, config: ClusterConfig) -> PlacementPolicy:
+        return BestFitPlacement()
+
+
+@dataclass(frozen=True)
+class MCCK(Policy):
+    """The proposed system: knapsack cluster scheduler over COSMIC.
+
+    ``thread_cap`` is the paper's packing rule: a set whose declared
+    threads exceed the card's hardware threads has zero knapsack value.
+    ``value_fn`` names a registered value function
+    (:func:`repro.core.get_value_function`).
+    """
+
+    thread_cap: bool = True
+    value_fn: str = "paper-floored"
+    respect_host_slots: bool = True
+    name: ClassVar[str] = "MCCK"
+
+    def placement(self, config: ClusterConfig) -> PlacementPolicy:
+        return PinnedPlacement()
+
+    def attach(
+        self, pool: CondorPool, config: ClusterConfig
+    ) -> KnapsackClusterScheduler:
+        packer = DevicePacker(
+            value_fn=get_value_function(self.value_fn),
+            thread_capacity=(
+                config.spec.hardware_threads if self.thread_cap else None
+            ),
+        )
+        scheduler = KnapsackClusterScheduler(
+            pool, packer=packer, respect_host_slots=self.respect_host_slots
+        )
+        scheduler.attach()
+        return scheduler
+
+
+#: The three stacks the paper's evaluation compares (§V).
+PAPER_POLICIES = (MC(), MCC(), MCCK())
+
+
+def run(
     jobs: Sequence[JobProfile],
-    config: ClusterConfig = ClusterConfig(),
+    config: ClusterConfig,
+    policy: Policy,
     faults: Optional[FaultProfile] = None,
     fault_seed: int = 0,
     net: Optional[NetProfile] = None,
     net_seed: int = 0,
 ) -> SimulationResult:
-    """Baseline: exclusive coprocessor allocation (MPSS + Condor)."""
+    """Simulate ``jobs`` on a ``config`` cluster under one ``policy``.
+
+    ``faults``/``net`` optionally add a seeded fault schedule and a
+    lossy message fabric; without them the run is fault-free and the
+    daemons talk in-process, and both seeds are unused.
+    """
+    if not isinstance(policy, Policy):
+        raise ValueError(
+            f"unknown policy {policy!r}; choose MC(), MCC(), BestFit() or MCCK()"
+        )
     env, pool, nodes = _build(
-        jobs, config, mode="exclusive", policy=ExclusivePlacement(),
+        jobs, config, mode=policy.mode, policy=policy.placement(config),
         faults=faults, net=net, net_seed=net_seed,
     )
-    injector = _attach_faults(env, pool, nodes, faults, fault_seed)
+    scheduler = policy.attach(pool, config)
+    injector = _attach_faults(
+        env, pool, nodes, faults, fault_seed, scheduler=scheduler
+    )
     makespan = pool.run_to_completion()
-    return _collect("MC", config, pool, nodes, makespan, injector=injector)
+    return _collect(
+        policy.name, config, pool, nodes, makespan,
+        packing_decisions=len(scheduler.decisions) if scheduler else 0,
+        injector=injector,
+    )
 
 
 def run_mcc(
@@ -326,46 +461,8 @@ def run_mcc(
     net: Optional[NetProfile] = None,
     net_seed: int = 0,
 ) -> SimulationResult:
-    """MPSS + Condor + COSMIC: random placement, safe node-level sharing.
-
-    With the default ``memory_aware=False``, placement is the paper's
-    "packed arbitrarily": any node with a free host slot; COSMIC queues
-    jobs at the node until their declaration fits the card.
-    """
-    rng = random.Random(config.seed)
-    env, pool, nodes = _build(
-        jobs, config, mode="cosmic",
-        policy=RandomPlacement(rng, memory_aware=memory_aware),
-        faults=faults, net=net, net_seed=net_seed,
-    )
-    injector = _attach_faults(env, pool, nodes, faults, fault_seed)
-    makespan = pool.run_to_completion()
-    return _collect("MCC", config, pool, nodes, makespan, injector=injector)
-
-
-def run_best_fit(
-    jobs: Sequence[JobProfile],
-    config: ClusterConfig = ClusterConfig(),
-    faults: Optional[FaultProfile] = None,
-    fault_seed: int = 0,
-    net: Optional[NetProfile] = None,
-    net_seed: int = 0,
-) -> SimulationResult:
-    """Extra baseline (not in the paper): best-fit placement over COSMIC.
-
-    Sits between MCC (random) and MCCK (knapsack): memory-aware greedy
-    placement with no look-ahead over the pending set. Used by the
-    placement-policy ablation.
-    """
-    from ..condor.negotiator import BestFitPlacement
-
-    env, pool, nodes = _build(
-        jobs, config, mode="cosmic", policy=BestFitPlacement(), faults=faults,
-        net=net, net_seed=net_seed,
-    )
-    injector = _attach_faults(env, pool, nodes, faults, fault_seed)
-    makespan = pool.run_to_completion()
-    return _collect("BESTFIT", config, pool, nodes, makespan, injector=injector)
+    """``run`` under :class:`MCC` (the signature predating ``run``)."""
+    return run(jobs, config, MCC(memory_aware), faults, fault_seed, net, net_seed)
 
 
 def run_mcck(
@@ -378,56 +475,13 @@ def run_mcck(
     net: Optional[NetProfile] = None,
     net_seed: int = 0,
 ) -> SimulationResult:
-    """The proposed system: knapsack cluster scheduler over COSMIC."""
-    env, pool, nodes = _build(
-        jobs, config, mode="cosmic", policy=PinnedPlacement(), faults=faults,
-        net=net, net_seed=net_seed,
-    )
-    if packer is None:
-        # The paper's packing rule: a set whose declared threads exceed
-        # the hardware budget has zero knapsack value (hard cap).
-        packer = DevicePacker(thread_capacity=config.spec.hardware_threads)
-    scheduler = KnapsackClusterScheduler(
-        pool, packer=packer, respect_host_slots=respect_host_slots
-    )
-    scheduler.attach()
-    injector = _attach_faults(
-        env, pool, nodes, faults, fault_seed, scheduler=scheduler
-    )
-    makespan = pool.run_to_completion()
-    return _collect(
-        "MCCK", config, pool, nodes, makespan,
-        packing_decisions=len(scheduler.decisions),
-        injector=injector,
-    )
+    """``run`` under :class:`MCCK` (the signature predating ``run``).
 
-
-def run_configuration(
-    configuration: str,
-    jobs: Sequence[JobProfile],
-    config: ClusterConfig = ClusterConfig(),
-    faults: Optional[FaultProfile] = None,
-    fault_seed: int = 0,
-    net: Optional[NetProfile] = None,
-    net_seed: int = 0,
-    **kwargs,
-) -> SimulationResult:
-    """Dispatch by configuration name ("MC" / "MCC" / "MCCK")."""
-    if configuration == "MC":
-        return run_mc(
-            jobs, config, faults=faults, fault_seed=fault_seed,
-            net=net, net_seed=net_seed,
-        )
-    if configuration == "MCC":
-        return run_mcc(
-            jobs, config, faults=faults, fault_seed=fault_seed,
-            net=net, net_seed=net_seed,
-        )
-    if configuration == "MCCK":
-        return run_mcck(
-            jobs, config, faults=faults, fault_seed=fault_seed,
-            net=net, net_seed=net_seed, **kwargs,
-        )
-    raise ValueError(
-        f"unknown configuration {configuration!r}; choose from {CONFIGURATIONS}"
+    The packer is now set by MCCK's fields, so ``packer`` must be None.
+    """
+    if packer is not None:
+        raise ValueError("use run(jobs, config, MCCK(thread_cap, value_fn))")
+    return run(
+        jobs, config, MCCK(respect_host_slots=respect_host_slots),
+        faults, fault_seed, net, net_seed,
     )

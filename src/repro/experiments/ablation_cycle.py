@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import MCC, MCCK, ClusterConfig
 from ..metrics import format_series
 from .common import DEFAULT_SEED, PAPER_CLUSTER
 from .runner import SimTask, TaskRunner, execute, sim_task
@@ -45,14 +45,14 @@ def tasks(
             # condor_reschedule: completions trigger extra cycles, which
             # should largely flatten MCCK's sensitivity to the interval.
             resched = replace(tuned, reschedule_on_completion=True)
-            for name, configuration, cell_config in (
-                ("MCC", "MCC", tuned),
-                ("MCCK", "MCCK", tuned),
-                ("MCCK+resched", "MCCK", resched),
+            for name, policy, cell_config in (
+                ("MCC", MCC(), tuned),
+                ("MCCK", MCCK(), tuned),
+                ("MCCK+resched", MCCK(), resched),
             ):
                 grid.append(
                     sim_task(
-                        "ablation-cycle", configuration, cell_config, workload,
+                        "ablation-cycle", policy, cell_config, workload,
                         label=f"{distribution}/{name}@{interval:g}s",
                     )
                 )

@@ -15,20 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster import ClusterConfig, run_mcck
-from ..core import DevicePacker
+from ..cluster import MCCK, ClusterConfig
 from ..metrics import format_table
-from .common import DEFAULT_SEED, PAPER_CLUSTER, make_workload
-from .runner import SimTask, TaskRunner, execute
+from .common import DEFAULT_SEED, PAPER_CLUSTER
+from .runner import SimTask, TaskRunner, execute, sim_task
 
 _WORKLOADS = ("table1", "normal")
 
-#: variant name -> (thread_capacity, respect_host_slots); the packer is
-#: rebuilt in the worker so tasks carry primitives only.
-_VARIANTS = {
-    "cap-240 (paper)": (240, True),
-    "no-cap": (None, True),
-    "no-cap/no-slots": (None, False),
+#: Row label -> knapsack constraint variant.
+_CONSTRAINTS = {
+    "cap-240 (paper)": MCCK(),
+    "no-cap": MCCK(thread_cap=False),
+    "no-cap/no-slots": MCCK(thread_cap=False, respect_host_slots=False),
 }
 
 
@@ -50,28 +48,14 @@ def tasks(
     seed: int = DEFAULT_SEED,
 ) -> list[SimTask]:
     return [
-        SimTask.make(
-            "ablation-knapsack", "ablation-knapsack.cell",
+        sim_task(
+            "ablation-knapsack", policy, config,
+            _workload_spec(workload, jobs, seed),
             label=f"{variant}/{workload}",
-            variant=variant,
-            config=config,
-            workload=_workload_spec(workload, jobs, seed),
         )
-        for variant in _VARIANTS
+        for variant, policy in _CONSTRAINTS.items()
         for workload in _WORKLOADS
     ]
-
-
-def compute(task: SimTask) -> float:
-    p = task.kwargs()
-    thread_capacity, respect_host_slots = _VARIANTS[p["variant"]]
-    job_set = make_workload(p["workload"])
-    return run_mcck(
-        job_set,
-        p["config"],
-        packer=DevicePacker(thread_capacity=thread_capacity),
-        respect_host_slots=respect_host_slots,
-    ).makespan
 
 
 def merge(
@@ -82,8 +66,8 @@ def merge(
 ) -> KnapsackAblationResult:
     cursor = iter(values)
     makespans = {
-        variant: {workload: next(cursor) for workload in _WORKLOADS}
-        for variant in _VARIANTS
+        variant: {workload: next(cursor)["makespan"] for workload in _WORKLOADS}
+        for variant in _CONSTRAINTS
     }
     return KnapsackAblationResult(job_count=jobs, makespans=makespans)
 

@@ -14,26 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster import (
-    ClusterConfig,
-    run_best_fit,
-    run_mcc,
-    run_mc,
-    run_mcck,
-)
+from ..cluster import MC, MCC, MCCK, BestFit, ClusterConfig
 from ..metrics import format_table, percent_reduction
-from .common import DEFAULT_SEED, PAPER_CLUSTER, make_workload
-from .runner import SimTask, TaskRunner, execute
+from .common import DEFAULT_SEED, PAPER_CLUSTER
+from .runner import SimTask, TaskRunner, execute, sim_task
 
-#: policy name -> runner; rebuilt in the worker from the policy name.
-_POLICIES = {
-    "MC": lambda job_set, config: run_mc(job_set, config),
-    "random (MCC)": lambda job_set, config: run_mcc(job_set, config),
-    "random memory-aware": lambda job_set, config: run_mcc(
-        job_set, config, memory_aware=True
-    ),
-    "best-fit": lambda job_set, config: run_best_fit(job_set, config),
-    "knapsack (MCCK)": lambda job_set, config: run_mcck(job_set, config),
+#: Row label -> policy, from no sharing to full look-ahead.
+_SPECTRUM = {
+    "MC": MC(),
+    "random (MCC)": MCC(),
+    "random memory-aware": MCC(memory_aware=True),
+    "best-fit": BestFit(),
+    "knapsack (MCCK)": MCCK(),
 }
 
 
@@ -52,21 +44,12 @@ def tasks(
     seed: int = DEFAULT_SEED,
 ) -> list[SimTask]:
     return [
-        SimTask.make(
-            "ablation-placement", "ablation-placement.cell",
-            label=policy,
-            policy=policy,
-            config=config,
-            workload=("table1", jobs, seed),
+        sim_task(
+            "ablation-placement", policy, config, ("table1", jobs, seed),
+            label=name,
         )
-        for policy in _POLICIES
+        for name, policy in _SPECTRUM.items()
     ]
-
-
-def compute(task: SimTask) -> float:
-    p = task.kwargs()
-    job_set = make_workload(p["workload"])
-    return _POLICIES[p["policy"]](job_set, p["config"]).makespan
 
 
 def merge(
@@ -75,7 +58,9 @@ def merge(
     config: ClusterConfig = PAPER_CLUSTER,
     seed: int = DEFAULT_SEED,
 ) -> PlacementAblationResult:
-    makespans = dict(zip(_POLICIES, values))
+    makespans = {
+        name: value["makespan"] for name, value in zip(_SPECTRUM, values)
+    }
     return PlacementAblationResult(job_count=jobs, makespans=makespans)
 
 

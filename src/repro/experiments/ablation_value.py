@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster import ClusterConfig, run_mcck
-from ..core import DevicePacker, get_value_function, value_function_names
+from ..cluster import MCCK, ClusterConfig
+from ..core import value_function_names
 from ..metrics import format_table
-from .common import DEFAULT_SEED, PAPER_CLUSTER, make_workload
-from .runner import SimTask, TaskRunner, execute
+from .common import DEFAULT_SEED, PAPER_CLUSTER
+from .runner import SimTask, TaskRunner, execute, sim_task
 
 _WORKLOADS = ("table1", "normal")
 
@@ -37,30 +37,17 @@ def tasks(
     jobs: int = 400,
     config: ClusterConfig = PAPER_CLUSTER,
     seed: int = DEFAULT_SEED,
-    thread_capacity: int | None = 240,
+    thread_cap: bool = True,
 ) -> list[SimTask]:
     return [
-        SimTask.make(
-            "ablation-value", "ablation-value.cell",
+        sim_task(
+            "ablation-value", MCCK(thread_cap=thread_cap, value_fn=name),
+            config, _workload_spec(workload, jobs, seed),
             label=f"{name}/{workload}",
-            value_fn=name,
-            thread_capacity=thread_capacity,
-            config=config,
-            workload=_workload_spec(workload, jobs, seed),
         )
         for name in value_function_names()
         for workload in _WORKLOADS
     ]
-
-
-def compute(task: SimTask) -> float:
-    p = task.kwargs()
-    packer = DevicePacker(
-        value_fn=get_value_function(p["value_fn"]),
-        thread_capacity=p["thread_capacity"],
-    )
-    job_set = make_workload(p["workload"])
-    return run_mcck(job_set, p["config"], packer=packer).makespan
 
 
 def merge(
@@ -68,11 +55,11 @@ def merge(
     jobs: int = 400,
     config: ClusterConfig = PAPER_CLUSTER,
     seed: int = DEFAULT_SEED,
-    thread_capacity: int | None = 240,
+    thread_cap: bool = True,
 ) -> ValueAblationResult:
     cursor = iter(values)
     makespans = {
-        name: {workload: next(cursor) for workload in _WORKLOADS}
+        name: {workload: next(cursor)["makespan"] for workload in _WORKLOADS}
         for name in value_function_names()
     }
     return ValueAblationResult(job_count=jobs, makespans=makespans)
@@ -82,16 +69,13 @@ def run(
     jobs: int = 400,
     config: ClusterConfig = PAPER_CLUSTER,
     seed: int = DEFAULT_SEED,
-    thread_capacity: int | None = 240,
+    thread_cap: bool = True,
     runner: Optional[TaskRunner] = None,
 ) -> ValueAblationResult:
-    grid = tasks(
-        jobs=jobs, config=config, seed=seed, thread_capacity=thread_capacity
-    )
+    grid = tasks(jobs=jobs, config=config, seed=seed, thread_cap=thread_cap)
     values = execute(grid, runner)
     return merge(
-        values, jobs=jobs, config=config, seed=seed,
-        thread_capacity=thread_capacity,
+        values, jobs=jobs, config=config, seed=seed, thread_cap=thread_cap
     )
 
 

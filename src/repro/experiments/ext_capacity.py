@@ -11,15 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import PAPER_POLICIES, ClusterConfig
 from ..metrics import format_series
 from ..phi import XeonPhiSpec
 from .common import DEFAULT_SEED, PAPER_CLUSTER
 from .runner import SimTask, TaskRunner, execute, sim_task
 
 DEFAULT_CAPACITIES_MB = (4096, 8192, 12288, 16384)
-
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
 
 
 @dataclass
@@ -44,11 +42,11 @@ def tasks(
             memory_mb=capacity,
         )
         sized = replace(config, spec=spec)
-        for configuration in _CONFIGURATIONS:
+        for policy in PAPER_POLICIES:
             grid.append(
                 sim_task(
-                    "ext-capacity", configuration, sized, workload,
-                    label=f"{configuration}@{capacity // 1024}GB",
+                    "ext-capacity", policy, sized, workload,
+                    label=f"{policy.name}@{capacity // 1024}GB",
                 )
             )
     return grid
@@ -62,10 +60,10 @@ def merge(
     seed: int = DEFAULT_SEED,
 ) -> CapacityResult:
     cursor = iter(values)
-    makespans: dict[str, list[float]] = {c: [] for c in _CONFIGURATIONS}
+    makespans: dict[str, list[float]] = {p.name: [] for p in PAPER_POLICIES}
     for _capacity in capacities_mb:
-        for configuration in _CONFIGURATIONS:
-            makespans[configuration].append(next(cursor)["makespan"])
+        for policy in PAPER_POLICIES:
+            makespans[policy.name].append(next(cursor)["makespan"])
     return CapacityResult(
         job_count=jobs, capacities_mb=capacities_mb, makespans=makespans
     )

@@ -29,20 +29,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import PAPER_POLICIES, ClusterConfig
 from ..faults import FaultProfile, derive_fault_seed
 from ..metrics import format_table
 from ..net import NetProfile, derive_net_seed
 from .common import DEFAULT_SEED, PAPER_CLUSTER
-from .runner import SimTask, TaskRunner, execute
+from .runner import SimTask, TaskRunner, execute, sim_task
 
 #: Daemon crashes per 1000 simulated seconds (0 = the paper's baseline).
 #: The quick-scale queue drains in ~250 simulated seconds, so rates
 #: below ~4/ks usually draw zero crashes before the pool goes idle —
 #: the sweep starts where crash-restart cycles actually land mid-burn.
 DEFAULT_RATES = (0.0, 5.0, 10.0, 20.0)
-
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
 
 
 @dataclass
@@ -56,10 +54,8 @@ class CrashResult:
         """Completed jobs per simulated hour, per crash rate."""
         out = []
         for cell in self.cells[configuration]:
-            makespan = cell["makespan"]
-            out.append(
-                3600.0 * cell["completed"] / makespan if makespan > 0 else 0.0
-            )
+            makespan, completed = cell["makespan"], cell["completed_jobs"]
+            out.append(3600.0 * completed / makespan if makespan > 0 else 0.0)
         return out
 
 
@@ -85,15 +81,11 @@ def tasks(
     grid: list[SimTask] = []
     for rate in rates:
         faults = _profile(rate, crashes)
-        for configuration in _CONFIGURATIONS:
+        for policy in PAPER_POLICIES:
             grid.append(
-                SimTask.make(
-                    "ext-crash",
-                    "sim-crash",
-                    label=f"{configuration}@{rate:g}/ks",
-                    configuration=configuration,
-                    config=config,
-                    workload=workload,
+                sim_task(
+                    "ext-crash", policy, config, workload,
+                    label=f"{policy.name}@{rate:g}/ks",
                     faults=faults,
                     fault_seed=fault_seed,
                     # Crash cells need the fabric (daemon downtime is
@@ -115,10 +107,10 @@ def merge(
     seed: int = DEFAULT_SEED,
 ) -> CrashResult:
     cursor = iter(values)
-    cells: dict[str, list[dict]] = {c: [] for c in _CONFIGURATIONS}
+    cells: dict[str, list[dict]] = {p.name: [] for p in PAPER_POLICIES}
     for _rate in rates:
-        for configuration in _CONFIGURATIONS:
-            cells[configuration].append(next(cursor))
+        for policy in PAPER_POLICIES:
+            cells[policy.name].append(next(cursor))
     return CrashResult(job_count=jobs, rates=rates, cells=cells)
 
 
@@ -147,7 +139,7 @@ def render(result: CrashResult) -> str:
     ]
     rows = []
     for i, rate in enumerate(result.rates):
-        for configuration in _CONFIGURATIONS:
+        for configuration in result.cells:
             cell = result.cells[configuration][i]
             rows.append(
                 [
@@ -155,12 +147,12 @@ def render(result: CrashResult) -> str:
                     configuration,
                     f"{result.goodput(configuration)[i]:.0f}",
                     f"{cell['makespan']:.0f}",
-                    cell["completed"],
-                    cell["crashes"],
-                    cell["recoveries"],
+                    cell["completed_jobs"],
+                    cell["daemon_crashes"],
+                    cell["schedd_recoveries"],
                     cell["wal_replayed"],
-                    cell["readopted"],
-                    cell["retried"],
+                    cell["jobs_readopted"],
+                    cell["retried_completed"],
                 ]
             )
     table = format_table(

@@ -24,16 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import PAPER_POLICIES, ClusterConfig
 from ..faults import FaultProfile, derive_fault_seed
 from ..metrics import format_table
 from .common import DEFAULT_SEED, PAPER_CLUSTER
-from .runner import SimTask, TaskRunner, execute
+from .runner import SimTask, TaskRunner, execute, sim_task
 
 #: Fault events per 1000 simulated seconds (0 = the paper's baseline).
 DEFAULT_RATES = (0.0, 0.5, 1.0, 2.0, 4.0)
-
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
 
 
 @dataclass
@@ -47,10 +45,8 @@ class FaultsResult:
         """Completed jobs per simulated hour, per rate."""
         out = []
         for cell in self.cells[configuration]:
-            makespan = cell["makespan"]
-            out.append(
-                3600.0 * cell["completed"] / makespan if makespan > 0 else 0.0
-            )
+            makespan, completed = cell["makespan"], cell["completed_jobs"]
+            out.append(3600.0 * completed / makespan if makespan > 0 else 0.0)
         return out
 
 
@@ -68,15 +64,11 @@ def tasks(
     fault_seed = derive_fault_seed(seed)
     grid: list[SimTask] = []
     for rate in rates:
-        for configuration in _CONFIGURATIONS:
+        for policy in PAPER_POLICIES:
             grid.append(
-                SimTask.make(
-                    "ext-faults",
-                    "sim-faults",
-                    label=f"{configuration}@{rate:g}/ks",
-                    configuration=configuration,
-                    config=config,
-                    workload=workload,
+                sim_task(
+                    "ext-faults", policy, config, workload,
+                    label=f"{policy.name}@{rate:g}/ks",
                     faults=_profile(rate),
                     fault_seed=fault_seed,
                 )
@@ -92,10 +84,10 @@ def merge(
     seed: int = DEFAULT_SEED,
 ) -> FaultsResult:
     cursor = iter(values)
-    cells: dict[str, list[dict]] = {c: [] for c in _CONFIGURATIONS}
+    cells: dict[str, list[dict]] = {p.name: [] for p in PAPER_POLICIES}
     for _rate in rates:
-        for configuration in _CONFIGURATIONS:
-            cells[configuration].append(next(cursor))
+        for policy in PAPER_POLICIES:
+            cells[policy.name].append(next(cursor))
     return FaultsResult(job_count=jobs, rates=rates, cells=cells)
 
 
@@ -118,7 +110,7 @@ def render(result: FaultsResult) -> str:
     ]
     rows = []
     for i, rate in enumerate(result.rates):
-        for configuration in _CONFIGURATIONS:
+        for configuration in result.cells:
             cell = result.cells[configuration][i]
             rows.append(
                 [
@@ -126,10 +118,10 @@ def render(result: FaultsResult) -> str:
                     configuration,
                     f"{result.goodput(configuration)[i]:.0f}",
                     f"{cell['makespan']:.0f}",
-                    cell["completed"],
-                    cell["failed"],
+                    cell["completed_jobs"],
+                    cell["infra_failed_jobs"],
                     cell["requeues"],
-                    cell["retried"],
+                    cell["retried_completed"],
                     cell["faults_injected"],
                 ]
             )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import MCC, MCCK, ClusterConfig
 from ..metrics import format_table
 from .common import DEFAULT_SEED, PAPER_CLUSTER
 from .runner import SimTask, TaskRunner, execute, sim_task
@@ -20,7 +20,7 @@ from .runner import SimTask, TaskRunner, execute, sim_task
 #: (nodes, devices_per_node) shapes with 8 cards total.
 DEFAULT_SHAPES = ((8, 1), (4, 2), (2, 4))
 
-_CONFIGURATIONS = ("MCC", "MCCK")
+_POLICIES = (MCC(), MCCK())
 
 
 @dataclass
@@ -39,12 +39,12 @@ def tasks(
     workload = ("table1", jobs, seed)
     return [
         sim_task(
-            "ext-multidevice", configuration,
+            "ext-multidevice", policy,
             replace(config, nodes=nodes, devices_per_node=devices), workload,
-            label=f"{configuration}@{nodes}x{devices}",
+            label=f"{policy.name}@{nodes}x{devices}",
         )
         for nodes, devices in shapes
-        for configuration in _CONFIGURATIONS
+        for policy in _POLICIES
     ]
 
 
@@ -56,10 +56,10 @@ def merge(
     seed: int = DEFAULT_SEED,
 ) -> MultiDeviceResult:
     cursor = iter(values)
-    makespans: dict[str, list[float]] = {c: [] for c in _CONFIGURATIONS}
+    makespans: dict[str, list[float]] = {p.name: [] for p in _POLICIES}
     for _shape in shapes:
-        for configuration in _CONFIGURATIONS:
-            makespans[configuration].append(next(cursor)["makespan"])
+        for policy in _POLICIES:
+            makespans[policy.name].append(next(cursor)["makespan"])
     return MultiDeviceResult(job_count=jobs, shapes=shapes, makespans=makespans)
 
 

@@ -27,16 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import PAPER_POLICIES, ClusterConfig
 from ..metrics import format_table
 from ..net import NetProfile, PartitionSpec, derive_net_seed
 from .common import DEFAULT_SEED, PAPER_CLUSTER
-from .runner import SimTask, TaskRunner, execute
+from .runner import SimTask, TaskRunner, execute, sim_task
 
 #: Per-message loss probabilities (0 = the paper's in-process baseline).
 DEFAULT_LOSSES = (0.0, 0.02, 0.05, 0.10)
-
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
 
 
 @dataclass
@@ -50,10 +48,8 @@ class NetChaosResult:
         """Completed jobs per simulated hour, per loss rate."""
         out = []
         for cell in self.cells[configuration]:
-            makespan = cell["makespan"]
-            out.append(
-                3600.0 * cell["completed"] / makespan if makespan > 0 else 0.0
-            )
+            makespan, completed = cell["makespan"], cell["completed_jobs"]
+            out.append(3600.0 * completed / makespan if makespan > 0 else 0.0)
         return out
 
 
@@ -82,15 +78,11 @@ def tasks(
     net_seed = derive_net_seed(seed)
     grid: list[SimTask] = []
     for loss in losses:
-        for configuration in _CONFIGURATIONS:
+        for policy in PAPER_POLICIES:
             grid.append(
-                SimTask.make(
-                    "ext-netchaos",
-                    "sim-net",
-                    label=f"{configuration}@loss{loss:g}",
-                    configuration=configuration,
-                    config=config,
-                    workload=workload,
+                sim_task(
+                    "ext-netchaos", policy, config, workload,
+                    label=f"{policy.name}@loss{loss:g}",
                     net=_profile(loss, partitions, delay_s),
                     net_seed=net_seed,
                 )
@@ -108,10 +100,10 @@ def merge(
     seed: int = DEFAULT_SEED,
 ) -> NetChaosResult:
     cursor = iter(values)
-    cells: dict[str, list[dict]] = {c: [] for c in _CONFIGURATIONS}
+    cells: dict[str, list[dict]] = {p.name: [] for p in PAPER_POLICIES}
     for _loss in losses:
-        for configuration in _CONFIGURATIONS:
-            cells[configuration].append(next(cursor))
+        for policy in PAPER_POLICIES:
+            cells[policy.name].append(next(cursor))
     return NetChaosResult(job_count=jobs, losses=losses, cells=cells)
 
 
@@ -142,7 +134,7 @@ def render(result: NetChaosResult) -> str:
     ]
     rows = []
     for i, loss in enumerate(result.losses):
-        for configuration in _CONFIGURATIONS:
+        for configuration in result.cells:
             cell = result.cells[configuration][i]
             rows.append(
                 [
@@ -150,9 +142,9 @@ def render(result: NetChaosResult) -> str:
                     configuration,
                     f"{result.goodput(configuration)[i]:.0f}",
                     f"{cell['makespan']:.0f}",
-                    cell["completed"],
-                    cell["retransmits"],
-                    cell["dup_dropped"],
+                    cell["completed_jobs"],
+                    cell["net_retransmits"],
+                    cell["net_duplicates_dropped"],
                     cell["lease_expiries"],
                     cell["claims_lost"],
                     cell["match_timeouts"],

@@ -12,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import PAPER_POLICIES, ClusterConfig
 from ..metrics import Replicated, compare, format_table
 from .common import PAPER_CLUSTER
 from .runner import SimTask, TaskRunner, execute, sim_task
 
 DEFAULT_SEEDS = (42, 43, 44, 45, 46)
-
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
 
 
 @dataclass
@@ -50,11 +48,11 @@ def tasks(
 ) -> list[SimTask]:
     return [
         sim_task(
-            "ext-replication", configuration, config,
+            "ext-replication", policy, config,
             ("table1", jobs, workload_seed),
-            label=f"{configuration}/seed{workload_seed}",
+            label=f"{policy.name}/seed{workload_seed}",
         )
-        for configuration in _CONFIGURATIONS
+        for policy in PAPER_POLICIES
         for workload_seed in seeds
     ]
 
@@ -68,10 +66,10 @@ def merge(
 ) -> ReplicationResult:
     cursor = iter(values)
     makespans = {
-        configuration: Replicated(
+        policy.name: Replicated(
             tuple(next(cursor)["makespan"] for _ in seeds)
         )
-        for configuration in _CONFIGURATIONS
+        for policy in PAPER_POLICIES
     }
     return ReplicationResult(job_count=jobs, seeds=seeds, makespans=makespans)
 

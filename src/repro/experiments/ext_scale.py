@@ -31,7 +31,8 @@ import resource
 import time
 from dataclasses import dataclass
 
-from ..cluster import run_configuration
+from ..cluster import MCCK, Policy
+from ..cluster import run as simulate
 from ..metrics import format_table
 from ..sim import profile as sim_profile
 from .common import DEFAULT_SEED, PAPER_CLUSTER, make_workload
@@ -60,7 +61,7 @@ def _peak_rss_mb() -> float:
 def run(
     jobs: int = 64,
     node_counts: tuple[int, ...] = DEFAULT_NODE_COUNTS,
-    configuration: str = "MCCK",
+    policy: Policy = MCCK(),
     seed: int = DEFAULT_SEED,
 ) -> ScaleResult:
     job_set = make_workload(("table1", jobs, seed))
@@ -76,7 +77,7 @@ def run(
         try:
             prof.start()
             started = time.perf_counter()
-            result = run_configuration(configuration, job_set, config)
+            result = simulate(job_set, config, policy)
             wall = time.perf_counter() - started
             prof.stop()
         finally:
@@ -97,7 +98,7 @@ def run(
         )
     return ScaleResult(
         job_count=jobs,
-        configuration=configuration,
+        configuration=policy.name,
         node_counts=tuple(node_counts),
         rows=rows,
     )

@@ -12,15 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import PAPER_POLICIES, ClusterConfig
 from ..metrics import format_series, percent_reduction
 from .common import DEFAULT_SEED, PAPER_CLUSTER
 from .runner import SimTask, TaskRunner, execute, sim_task
 
 DEFAULT_SIZES = (2, 4, 6, 8)
 JOBS_PER_NODE = 200
-
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
 
 
 @dataclass
@@ -44,12 +42,12 @@ def tasks(
 ) -> list[SimTask]:
     return [
         sim_task(
-            "fig10", configuration, config.resized(size),
+            "fig10", policy, config.resized(size),
             ("synthetic", jobs_per_node * size, distribution, seed),
-            label=f"{configuration}@n{size}x{jobs_per_node}",
+            label=f"{policy.name}@n{size}x{jobs_per_node}",
         )
         for size in sizes
-        for configuration in _CONFIGURATIONS
+        for policy in PAPER_POLICIES
     ]
 
 
@@ -62,12 +60,12 @@ def merge(
     distribution: str = "normal",
 ) -> Fig10Result:
     cursor = iter(values)
-    makespans: dict[str, list[float]] = {c: [] for c in _CONFIGURATIONS}
+    makespans: dict[str, list[float]] = {p.name: [] for p in PAPER_POLICIES}
     job_counts: list[int] = []
     for size in sizes:
         job_counts.append(jobs_per_node * size)
-        for configuration in _CONFIGURATIONS:
-            makespans[configuration].append(next(cursor)["makespan"])
+        for policy in PAPER_POLICIES:
+            makespans[policy.name].append(next(cursor)["makespan"])
     return Fig10Result(sizes=sizes, job_counts=job_counts, makespans=makespans)
 
 

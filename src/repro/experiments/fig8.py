@@ -12,14 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import PAPER_POLICIES, ClusterConfig
 from ..metrics import format_table, percent_reduction
 from ..workloads import DISTRIBUTIONS
 from .common import DEFAULT_SEED, PAPER_CLUSTER
 from .runner import SimTask, TaskRunner, execute, sim_task
-
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
-
 
 @dataclass
 class Fig8Result:
@@ -40,12 +37,12 @@ def tasks(
 ) -> list[SimTask]:
     return [
         sim_task(
-            "fig8", configuration, config,
+            "fig8", policy, config,
             ("synthetic", jobs, distribution, seed),
-            label=f"{distribution}/{configuration}",
+            label=f"{distribution}/{policy.name}",
         )
         for distribution in distributions
-        for configuration in _CONFIGURATIONS
+        for policy in PAPER_POLICIES
     ]
 
 
@@ -58,7 +55,7 @@ def merge(
 ) -> Fig8Result:
     cursor = iter(values)
     makespans = {
-        distribution: {c: next(cursor)["makespan"] for c in _CONFIGURATIONS}
+        distribution: {p.name: next(cursor)["makespan"] for p in PAPER_POLICIES}
         for distribution in distributions
     }
     return Fig8Result(job_count=jobs, makespans=makespans)

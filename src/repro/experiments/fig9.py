@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import PAPER_POLICIES, ClusterConfig
 from ..metrics import format_series
 from ..workloads import DISTRIBUTIONS
 from .common import DEFAULT_SEED, PAPER_CLUSTER
@@ -20,8 +20,6 @@ from .runner import SimTask, TaskRunner, execute, sim_task
 
 #: The cluster sizes Fig. 9's x-axis spans.
 DEFAULT_SIZES = (2, 3, 4, 5, 6, 8)
-
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
 
 
 @dataclass
@@ -41,13 +39,13 @@ def tasks(
 ) -> list[SimTask]:
     return [
         sim_task(
-            "fig9", configuration, config.resized(size),
+            "fig9", policy, config.resized(size),
             ("synthetic", jobs, distribution, seed),
-            label=f"{distribution}/{configuration}@n{size}",
+            label=f"{distribution}/{policy.name}@n{size}",
         )
         for distribution in distributions
         for size in sizes
-        for configuration in _CONFIGURATIONS
+        for policy in PAPER_POLICIES
     ]
 
 
@@ -62,10 +60,10 @@ def merge(
     cursor = iter(values)
     makespans: dict[str, dict[str, list[float]]] = {}
     for distribution in distributions:
-        series: dict[str, list[float]] = {c: [] for c in _CONFIGURATIONS}
+        series: dict[str, list[float]] = {p.name: [] for p in PAPER_POLICIES}
         for _size in sizes:
-            for configuration in _CONFIGURATIONS:
-                series[configuration].append(next(cursor)["makespan"])
+            for policy in PAPER_POLICIES:
+                series[policy.name].append(next(cursor)["makespan"])
         makespans[distribution] = series
     return Fig9Result(job_count=jobs, sizes=sizes, makespans=makespans)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import MC, ClusterConfig
 from ..metrics import format_table
 from ..workloads import DISTRIBUTIONS
 from .common import DEFAULT_SEED, PAPER_CLUSTER
@@ -40,14 +40,14 @@ def tasks(
 ) -> list[SimTask]:
     grid = [
         sim_task(
-            "motivation", "MC", config, ("table1", real_jobs, seed),
+            "motivation", MC(), config, ("table1", real_jobs, seed),
             label="table1/MC",
         )
     ]
     for distribution in DISTRIBUTIONS:
         grid.append(
             sim_task(
-                "motivation", "MC", config,
+                "motivation", MC(), config,
                 ("synthetic", synthetic_jobs, distribution, seed),
                 label=f"{distribution}/MC",
             )
@@ -65,10 +65,10 @@ def merge(
     counts = {"real": real_jobs}
     synthetic: dict[str, float] = {}
     for distribution, value in zip(DISTRIBUTIONS, values[1:]):
-        synthetic[distribution] = value["utilization"]
+        synthetic[distribution] = value["mean_core_utilization"]
         counts[distribution] = synthetic_jobs
     return MotivationResult(
-        real_mix_utilization=values[0]["utilization"],
+        real_mix_utilization=values[0]["mean_core_utilization"],
         synthetic_utilization=synthetic,
         job_counts=counts,
     )

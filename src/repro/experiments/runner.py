@@ -1,7 +1,7 @@
 """Parallel experiment runner: task grids over a process pool.
 
 The paper's evaluation decomposes into hundreds of independent
-simulation *cells* — one ``run_configuration`` call per (workload x
+simulation *cells* — one :func:`repro.cluster.run` call per (workload x
 cluster shape x software stack) point — and every cell owns its own
 :class:`~repro.sim.Environment`, so the harness is embarrassingly
 parallel. Experiment modules declare their grid as picklable
@@ -20,19 +20,27 @@ touches no simulator code at all.
 Cell kinds
 ----------
 ``sim``
-    The shared workhorse: one ``run_configuration`` call described by
-    ``configuration`` (MC / MCC / MCCK), a ``config``
-    (:class:`~repro.cluster.ClusterConfig`, already resized/tuned) and
-    a ``workload`` spec (see :func:`repro.experiments.common.make_workload`).
-    Because the cache key ignores the experiment name, identical cells
-    are shared across experiments — fig8's 8-node cells are the same
-    entries fig9 computes for its size sweep.
+    Every simulation cell: one :func:`repro.cluster.run` call. Its
+    parameters are the scenario: a ``policy`` value
+    (:class:`~repro.cluster.MC`, :class:`~repro.cluster.MCC`,
+    :class:`~repro.cluster.BestFit` or :class:`~repro.cluster.MCCK`
+    with its fields), a ``config`` (:class:`~repro.cluster.ClusterConfig`,
+    already resized/tuned), a ``workload`` spec (see
+    :func:`repro.experiments.common.make_workload`), and optionally
+    ``faults``/``fault_seed`` and ``net``/``net_seed``. A seed is only
+    carried with its profile, so a fault-free, fabric-free cell has the
+    same parameters wherever it appears. The cell value is
+    :meth:`~repro.cluster.SimulationResult.scalars`: every scalar result
+    field under its own name.
 ``run:<experiment>``
     A whole-experiment task for modules that are cheap or exact
     (fig7, ext-oversubscription): the worker calls ``module.run``.
-``<experiment>.<name>``
-    Module-specific cells (the ablations) dispatched to the module's
-    ``compute(task)``.
+
+A cell's identity is its kind and parameters; the experiment name and
+label only describe it. Identical cells are therefore computed once per
+run and shared across experiments (fig8's 8-node cells are the same
+cells fig9 computes for its size sweep), and the cache key ignores the
+experiment too.
 """
 
 from __future__ import annotations
@@ -43,7 +51,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Tuple
 
-from ..cluster import run_configuration
+from ..cluster import Policy, run
+from ..faults import FaultProfile
+from ..net import NetProfile
 from ..obs import audit as _audit
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -66,11 +76,12 @@ class SimTask:
 
     ``params`` is a sorted tuple of ``(name, value)`` pairs built from
     primitives and frozen dataclasses only, so a task can be pickled to
-    a worker process and content-addressed for the cache. ``label`` is
-    display-only and excluded from equality and the cache key.
+    a worker process and content-addressed for the cache. ``experiment``
+    and ``label`` are display-only and excluded from equality and the
+    cache key.
     """
 
-    experiment: str
+    experiment: str = field(compare=False)
     kind: str
     params: Tuple[Tuple[str, Any], ...]
     label: str = field(default="", compare=False)
@@ -88,20 +99,28 @@ class SimTask:
 
 def sim_task(
     experiment: str,
-    configuration: str,
+    policy: Policy,
     config: Any,
     workload: Tuple[Any, ...],
     label: str = "",
+    faults: Optional[FaultProfile] = None,
+    fault_seed: int = 0,
+    net: Optional[NetProfile] = None,
+    net_seed: int = 0,
 ) -> SimTask:
-    """The common cell: one configuration on one workload and cluster."""
-    return SimTask.make(
-        experiment,
-        "sim",
-        label=label or f"{configuration}@n{config.nodes}",
-        configuration=configuration,
-        config=config,
-        workload=workload,
-    )
+    """One simulation cell: a policy on one workload and cluster.
+
+    A seed is kept only next to its profile: without ``faults`` (or
+    ``net``) the run never reads ``fault_seed`` (``net_seed``), so
+    leaving it out lets baseline cells share their key.
+    """
+    params = {"policy": policy, "config": config, "workload": workload}
+    if faults is not None:
+        params.update(faults=faults, fault_seed=fault_seed)
+    if net is not None:
+        params.update(net=net, net_seed=net_seed)
+    label = label or f"{policy.name}@n{config.nodes}"
+    return SimTask.make(experiment, "sim", label=label, **params)
 
 
 def compute_task(task: SimTask) -> Any:
@@ -128,92 +147,14 @@ def compute_task(task: SimTask) -> Any:
 
 def _compute_value(task: SimTask) -> Any:
     if task.kind == "sim":
-        p = task.kwargs()
-        job_set = make_workload(p["workload"])
-        result = run_configuration(p["configuration"], job_set, p["config"])
-        return {
-            "makespan": result.makespan,
-            "utilization": result.mean_core_utilization,
-        }
-    if task.kind == "sim-faults":
-        p = task.kwargs()
-        job_set = make_workload(p["workload"])
-        result = run_configuration(
-            p["configuration"],
-            job_set,
-            p["config"],
-            faults=p["faults"],
-            fault_seed=p["fault_seed"],
-        )
-        return {
-            "makespan": result.makespan,
-            "utilization": result.mean_core_utilization,
-            "jobs": result.job_count,
-            "completed": result.completed_jobs,
-            "killed": result.memory_limit_kills,
-            "failed": result.infra_failed_jobs,
-            "requeues": result.requeues,
-            "retried": result.retried_completed,
-            "faults_injected": result.faults_injected,
-        }
-    if task.kind == "sim-crash":
-        p = task.kwargs()
-        job_set = make_workload(p["workload"])
-        result = run_configuration(
-            p["configuration"],
-            job_set,
-            p["config"],
-            faults=p["faults"],
-            fault_seed=p["fault_seed"],
-            net=p["net"],
-            net_seed=p["net_seed"],
-        )
-        return {
-            "makespan": result.makespan,
-            "utilization": result.mean_core_utilization,
-            "jobs": result.job_count,
-            "completed": result.completed_jobs,
-            "failed": result.infra_failed_jobs,
-            "requeues": result.requeues,
-            "retried": result.retried_completed,
-            "crashes": result.daemon_crashes,
-            "recoveries": result.schedd_recoveries,
-            "wal_records": result.wal_records,
-            "wal_replayed": result.wal_replayed,
-            "readopted": result.jobs_readopted,
-        }
-    if task.kind == "sim-net":
-        p = task.kwargs()
-        job_set = make_workload(p["workload"])
-        result = run_configuration(
-            p["configuration"],
-            job_set,
-            p["config"],
-            net=p["net"],
-            net_seed=p["net_seed"],
-        )
-        return {
-            "makespan": result.makespan,
-            "utilization": result.mean_core_utilization,
-            "jobs": result.job_count,
-            "completed": result.completed_jobs,
-            "failed": result.infra_failed_jobs,
-            "requeues": result.requeues,
-            "messages": result.net_messages,
-            "retransmits": result.net_retransmits,
-            "dup_dropped": result.net_duplicates_dropped,
-            "lease_expiries": result.lease_expiries,
-            "claims_lost": result.claims_lost,
-            "match_timeouts": result.match_timeouts,
-        }
+        params = task.kwargs()
+        jobs = make_workload(params.pop("workload"))
+        return run(jobs, **params).scalars()
     # Imported lazily: the registry imports the experiment modules,
     # which import this module for SimTask/execute.
     from . import EXPERIMENTS
 
-    module = EXPERIMENTS[task.experiment]
-    if task.kind == f"run:{task.experiment}":
-        return module.run(**task.kwargs())
-    return module.compute(task)
+    return EXPERIMENTS[task.experiment].run(**task.kwargs())
 
 
 def _timed_compute(task: SimTask) -> Tuple[Any, float]:
@@ -263,9 +204,9 @@ class TaskRunner:
                 if hit:
                     outcomes[i] = CellOutcome(task, value, 0.0, True)
                     continue
-            # Identical cells within one grid (e.g. fig8's 8-node cells
-            # reappear in fig9's size sweep) are computed once and
-            # fanned back out.
+            # Identical cells (e.g. fig8's 8-node cells reappear in
+            # fig9's size sweep) are computed once and fanned back out,
+            # whichever experiments ask for them.
             if task in first_index:
                 duplicates[i] = first_index[task]
                 continue

@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import MCC, MCCK, PAPER_POLICIES, ClusterConfig
 from ..metrics import FootprintResult, footprint_from_curve, format_table, percent_reduction
 from .common import DEFAULT_SEED, PAPER_CLUSTER
 from .runner import SimTask, TaskRunner, execute, sim_task
 
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
-_FOOTPRINT_CONFIGS = ("MCC", "MCCK")
+_FOOTPRINT_POLICIES = (MCC(), MCCK())
 
 
 @dataclass
@@ -48,13 +47,13 @@ def tasks(
     """
     workload = ("table1", jobs, seed)
     grid = [
-        sim_task("table2", c, config, workload) for c in _CONFIGURATIONS
+        sim_task("table2", policy, config, workload) for policy in PAPER_POLICIES
     ]
     if footprint:
-        for c in _FOOTPRINT_CONFIGS:
+        for policy in _FOOTPRINT_POLICIES:
             for size in range(1, config.nodes + 1):
                 grid.append(
-                    sim_task("table2", c, config.resized(size), workload)
+                    sim_task("table2", policy, config.resized(size), workload)
                 )
     return grid
 
@@ -66,26 +65,24 @@ def merge(
     seed: int = DEFAULT_SEED,
     footprint: bool = True,
 ) -> Table2Result:
-    head = values[: len(_CONFIGURATIONS)]
-    makespans = {
-        c: v["makespan"] for c, v in zip(_CONFIGURATIONS, head)
-    }
+    head = values[: len(PAPER_POLICIES)]
+    makespans = {p.name: v["makespan"] for p, v in zip(PAPER_POLICIES, head)}
     footprints: dict[str, FootprintResult] = {}
     if footprint:
         target = makespans["MC"]
-        sweep = values[len(_CONFIGURATIONS):]
-        for index, c in enumerate(_FOOTPRINT_CONFIGS):
+        sweep = values[len(PAPER_POLICIES):]
+        for index, policy in enumerate(_FOOTPRINT_POLICIES):
             chunk = sweep[index * config.nodes:(index + 1) * config.nodes]
             curve = {
                 size: v["makespan"]
                 for size, v in zip(range(1, config.nodes + 1), chunk)
             }
-            footprints[c] = footprint_from_curve(target, curve)
+            footprints[policy.name] = footprint_from_curve(target, curve)
     return Table2Result(
         job_count=jobs,
         makespans=makespans,
         footprints=footprints,
-        mc_utilization=head[0]["utilization"],
+        mc_utilization=head[0]["mean_core_utilization"],
     )
 
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import MC, MCC, MCCK, ClusterConfig
 from ..metrics import FootprintResult, footprint_from_curve, format_table
 from ..workloads import DISTRIBUTIONS
 from .common import DEFAULT_SEED, PAPER_CLUSTER
 from .runner import SimTask, TaskRunner, execute, sim_task
 
-_FOOTPRINT_CONFIGS = ("MCC", "MCCK")
+_FOOTPRINT_POLICIES = (MCC(), MCCK())
 
 
 @dataclass
@@ -39,16 +39,16 @@ def tasks(
         workload = ("synthetic", jobs, distribution, seed)
         grid.append(
             sim_task(
-                "table3", "MC", config, workload,
+                "table3", MC(), config, workload,
                 label=f"{distribution}/MC@n{config.nodes}",
             )
         )
-        for c in _FOOTPRINT_CONFIGS:
+        for policy in _FOOTPRINT_POLICIES:
             for size in range(1, config.nodes + 1):
                 grid.append(
                     sim_task(
-                        "table3", c, config.resized(size), workload,
-                        label=f"{distribution}/{c}@n{size}",
+                        "table3", policy, config.resized(size), workload,
+                        label=f"{distribution}/{policy.name}@n{size}",
                     )
                 )
     return grid
@@ -68,12 +68,14 @@ def merge(
         target = next(cursor)["makespan"]
         mc_makespans[distribution] = target
         footprints[distribution] = {}
-        for c in _FOOTPRINT_CONFIGS:
+        for policy in _FOOTPRINT_POLICIES:
             curve = {
                 size: next(cursor)["makespan"]
                 for size in range(1, config.nodes + 1)
             }
-            footprints[distribution][c] = footprint_from_curve(target, curve)
+            footprints[distribution][policy.name] = footprint_from_curve(
+                target, curve
+            )
     return Table3Result(
         job_count=jobs, footprints=footprints, mc_makespans=mc_makespans
     )

@@ -12,7 +12,7 @@ so a draw that crashes jobs faster than they finish still drains.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterConfig, run_configuration
+from repro.cluster import PAPER_POLICIES, ClusterConfig, run
 from repro.experiments.common import make_workload
 from repro.faults import FaultProfile
 from repro.net.profile import NetProfile, PartitionSpec
@@ -31,7 +31,7 @@ _partitions = st.tuples(
 
 @settings(max_examples=10, deadline=None)
 @given(
-    configuration=st.sampled_from(["MC", "MCC", "MCCK"]),
+    policy=st.sampled_from(PAPER_POLICIES),
     card_rate=st.floats(min_value=0.0, max_value=20.0),
     loss=st.floats(min_value=0.0, max_value=0.4),
     dup=st.floats(min_value=0.0, max_value=0.4),
@@ -40,7 +40,7 @@ _partitions = st.tuples(
     fault_seed=st.integers(0, 2**16),
     net_seed=st.integers(0, 2**16),
 )
-def test_combined_chaos_is_audit_clean(configuration, card_rate, loss, dup,
+def test_combined_chaos_is_audit_clean(policy, card_rate, loss, dup,
                                        partition, daemon_rate, fault_seed,
                                        net_seed):
     start, length, pattern = partition
@@ -54,8 +54,8 @@ def test_combined_chaos_is_audit_clean(configuration, card_rate, loss, dup,
     auditor = audit.activate()
     auditor.enter_cell("combined-chaos")
     try:
-        result = run_configuration(
-            configuration, JOBS, CONFIG,
+        result = run(
+            JOBS, CONFIG, policy,
             faults=faults, fault_seed=fault_seed,
             net=net, net_seed=net_seed,
         )

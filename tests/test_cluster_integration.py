@@ -6,14 +6,7 @@ full pipeline runs (Condor + COSMIC + MPSS + device).
 
 import pytest
 
-from repro.cluster import (
-    ClusterConfig,
-    ComputeNode,
-    run_configuration,
-    run_mc,
-    run_mcc,
-    run_mcck,
-)
+from repro.cluster import MC, MCC, MCCK, ClusterConfig, ComputeNode, run
 from repro.sim import Environment
 from repro.workloads import generate_table1_jobs
 
@@ -28,9 +21,9 @@ def jobs():
 @pytest.fixture(scope="module")
 def results(jobs):
     return {
-        "MC": run_mc(jobs, SMALL),
-        "MCC": run_mcc(jobs, SMALL),
-        "MCCK": run_mcck(jobs, SMALL),
+        "MC": run(jobs, SMALL, MC()),
+        "MCC": run(jobs, SMALL, MCC()),
+        "MCCK": run(jobs, SMALL, MCCK()),
     }
 
 
@@ -68,29 +61,29 @@ class TestEndToEnd:
         for result in results.values():
             assert result.negotiation_cycles >= 1
 
-    def test_run_configuration_dispatch(self, jobs):
-        result = run_configuration("MC", jobs, SMALL)
+    def test_unknown_policy_rejected(self, jobs):
+        result = run(jobs, SMALL, MC())
         assert result.configuration == "MC"
-        with pytest.raises(ValueError):
-            run_configuration("XYZ", jobs, SMALL)
+        with pytest.raises(ValueError, match="unknown policy"):
+            run(jobs, SMALL, "XYZ")
 
 
 class TestDeterminism:
     def test_same_seed_same_makespan(self, jobs):
-        a = run_mcc(jobs, SMALL)
-        b = run_mcc(jobs, SMALL)
+        a = run(jobs, SMALL, MCC())
+        b = run(jobs, SMALL, MCC())
         assert a.makespan == b.makespan
 
     def test_mcck_deterministic(self, jobs):
-        a = run_mcck(jobs, SMALL)
-        b = run_mcck(jobs, SMALL)
+        a = run(jobs, SMALL, MCCK())
+        b = run(jobs, SMALL, MCCK())
         assert a.makespan == b.makespan
 
     def test_different_placement_seed_changes_mcc(self, jobs):
         from dataclasses import replace
 
-        a = run_mcc(jobs, SMALL)
-        b = run_mcc(jobs, replace(SMALL, seed=99))
+        a = run(jobs, SMALL, MCC())
+        b = run(jobs, replace(SMALL, seed=99), MCC())
         # Random placement differs; makespans almost surely differ.
         assert a.makespan != b.makespan
 
@@ -101,7 +94,7 @@ class TestSafetyInvariants:
         env_holder = {}
 
         # Run MCC and then inspect device telemetry directly.
-        result = run_mcc(jobs, config)
+        result = run(jobs, config, MCC())
         # busy_threads telemetry is clamped at hardware limit by
         # construction; the invariant is on demand under COSMIC:
         for r in result.job_results:
@@ -176,8 +169,8 @@ class TestConfigValidation:
             declared_threads=60,
         )
         with pytest.raises(ValueError):
-            run_mc([monster], SMALL)
+            run([monster], SMALL, MC())
 
     def test_empty_job_set_rejected(self):
         with pytest.raises(ValueError):
-            run_mc([], SMALL)
+            run([], SMALL, MC())

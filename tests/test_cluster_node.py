@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import ComputeNode, run_best_fit
+from repro.cluster import BestFit, ComputeNode, run
 from repro.cluster.simulation import ClusterConfig
 from repro.sim import Environment
 from repro.workloads import HostPhase, JobProfile, OffloadPhase, generate_table1_jobs
@@ -121,6 +121,6 @@ class TestDevicePicking:
 class TestBestFit:
     def test_best_fit_runs_end_to_end(self):
         jobs = generate_table1_jobs(30, seed=3)
-        result = run_best_fit(jobs, ClusterConfig(nodes=2, cycle_interval=2.0))
+        result = run(jobs, ClusterConfig(nodes=2, cycle_interval=2.0), BestFit())
         assert result.configuration == "BESTFIT"
         assert result.completed_jobs == 30

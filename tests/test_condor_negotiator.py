@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterConfig, ComputeNode, run_mcc
+from repro.cluster import MCC, ClusterConfig, ComputeNode, run
 from repro.condor import (
     BestFitPlacement,
     ClassAd,
@@ -776,9 +776,10 @@ class TestCandidateIndex:
 
 
 def _fabric_mcc():
-    return run_mcc(
+    return run(
         generate_table1_jobs(24, seed=3),
         ClusterConfig(nodes=4),
+        MCC(),
         net=NetProfile.chaos(0.1),
         net_seed=11,
     )

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cluster import ClusterConfig, ComputeNode, run_configuration
+from repro.cluster import (
+    MCC, MCCK, PAPER_POLICIES, ClusterConfig, ComputeNode, run,
+)
 from repro.condor import (
     BACKOFF,
     COMPLETED,
@@ -149,22 +151,20 @@ class TestJobQueueLog:
 
 
 class TestDaemonSupervisor:
-    def _run_with_crashes(self, configuration, crashes, jobs=30, **profile):
+    def _run_with_crashes(self, policy, crashes, jobs=30, **profile):
         job_set = make_workload(("table1", jobs, 42))
         faults = FaultProfile(crashes=crashes, **profile)
-        return run_configuration(
-            configuration, job_set, ClusterConfig(),
+        return run(
+            job_set, ClusterConfig(), policy,
             faults=faults, fault_seed=7, net=NetProfile(), net_seed=3,
         )
 
-    @pytest.mark.parametrize("configuration", ["MC", "MCC", "MCCK"])
-    def test_schedd_crash_recovers_and_drains(self, configuration):
+    @pytest.mark.parametrize("policy", PAPER_POLICIES, ids=lambda p: p.name)
+    def test_schedd_crash_recovers_and_drains(self, policy):
         auditor = audit.activate()
-        auditor.enter_cell(f"crash-{configuration}")
+        auditor.enter_cell(f"crash-{policy.name}")
         try:
-            result = self._run_with_crashes(
-                configuration, ((40.0, "schedd"),)
-            )
+            result = self._run_with_crashes(policy, ((40.0, "schedd"),))
             auditor.finish_cell()
         finally:
             audit.deactivate()
@@ -176,7 +176,7 @@ class TestDaemonSupervisor:
 
     @pytest.mark.parametrize("daemon", ["negotiator", "collector"])
     def test_stateless_daemon_crash_drains(self, daemon):
-        result = self._run_with_crashes("MCC", ((40.0, daemon),))
+        result = self._run_with_crashes(MCC(), ((40.0, daemon),))
         assert result.completed_jobs == 30
         assert result.daemon_crashes == 1
         # No schedd crash: the WAL is written but never replayed.
@@ -184,7 +184,7 @@ class TestDaemonSupervisor:
         assert result.wal_replayed == 0
 
     def test_running_jobs_readopted_across_schedd_crash(self):
-        result = self._run_with_crashes("MCC", ((40.0, "schedd"),))
+        result = self._run_with_crashes(MCC(), ((40.0, "schedd"),))
         assert result.jobs_readopted > 0
 
     def test_crashed_daemon_always_restarts(self):
@@ -244,8 +244,8 @@ class TestReplayDeterminism:
         )
 
         def once():
-            result = run_configuration(
-                "MCCK", job_set, ClusterConfig(),
+            result = run(
+                job_set, ClusterConfig(), MCCK(),
                 faults=faults, fault_seed=7, net=NetProfile(), net_seed=3,
             )
             return (

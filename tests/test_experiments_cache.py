@@ -4,7 +4,8 @@ import pickle
 
 import pytest
 
-from repro.cluster import ClusterConfig
+from repro.cluster import MC, MCC, PAPER_POLICIES, ClusterConfig
+from repro.experiments import ext_crash, ext_faults, ext_netchaos
 from repro.experiments.cache import (
     ResultCache,
     canonical,
@@ -42,6 +43,7 @@ class TestKeying:
         a = SimTask.make("fig8", "sim", configuration="MC", nodes=8)
         b = SimTask.make("fig9", "sim", configuration="MC", nodes=8)
         assert task_key(a, "fp") == task_key(b, "fp")
+        assert a == b  # and the runner treats them as one cell
 
     def test_dataclass_params_canonicalise(self):
         config = ClusterConfig(nodes=4)
@@ -116,7 +118,7 @@ class TestTaskRunner:
         config = ClusterConfig(nodes=2)
         workload = ("table1", jobs, 42)
         return [
-            sim_task("test", c, config, workload) for c in ("MC", "MCC")
+            sim_task("test", policy, config, workload) for policy in (MC(), MCC())
         ]
 
     def test_results_cached_across_runs(self, tmp_path):
@@ -136,6 +138,18 @@ class TestTaskRunner:
         assert outcomes[0].value == outcomes[2].value
         assert outcomes[1].value == outcomes[3].value
 
+    def test_identical_cell_of_two_experiments_computed_once(self):
+        config, workload = ClusterConfig(nodes=2), ("table1", 16, 42)
+        grid = [
+            sim_task("fig8", MC(), config, workload),
+            sim_task("fig9", MC(), config, workload),
+        ]
+        runner = TaskRunner(workers=1, cache=None)
+        outcomes = runner.map_tasks(grid)
+        assert runner.computed == 1
+        assert outcomes[0].value == outcomes[1].value
+        assert [o.task.experiment for o in outcomes] == ["fig8", "fig9"]
+
     def test_inline_matches_runner(self, tmp_path):
         grid = self._grid()
         inline = [compute_task(task) for task in grid]
@@ -147,3 +161,42 @@ class TestTaskRunner:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             TaskRunner(workers=0)
+
+
+class TestBaselineCells:
+    """A cell without faults or a fabric is the plain cell, wherever it
+    appears: the seeds a run would ignore are not part of its key."""
+
+    CONFIG = ClusterConfig(nodes=2, cycle_interval=2.0)
+
+    def _plain(self, jobs, seed):
+        return [
+            sim_task("table2", policy, self.CONFIG, ("table1", jobs, seed))
+            for policy in PAPER_POLICIES
+        ]
+
+    def test_x5_x6_x8_baseline_columns_are_the_plain_cells(self):
+        plain = self._plain(20, 7)
+        grids = (
+            ext_faults.tasks(jobs=20, rates=(0.0,), config=self.CONFIG, seed=7),
+            ext_netchaos.tasks(
+                jobs=20, losses=(0.0,), config=self.CONFIG, seed=7
+            ),
+            ext_crash.tasks(jobs=20, rates=(0.0,), config=self.CONFIG, seed=7),
+        )
+        for grid in grids:
+            assert grid == plain
+            assert [task_key(t, "fp") for t in grid] == [
+                task_key(t, "fp") for t in plain
+            ]
+
+    def test_profiled_cells_keep_their_seeds(self):
+        faulty = ext_faults.tasks(jobs=20, rates=(1.0,), config=self.CONFIG, seed=7)
+        lossy = ext_netchaos.tasks(
+            jobs=20, losses=(0.05,), config=self.CONFIG, seed=7
+        )
+        plain = [task_key(t, "fp") for t in self._plain(20, 7)]
+        for task in faulty + lossy:
+            assert task_key(task, "fp") not in plain
+        assert all("fault_seed" in t.kwargs() for t in faulty)
+        assert all("net_seed" in t.kwargs() for t in lossy)

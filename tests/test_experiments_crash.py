@@ -3,7 +3,8 @@
 from repro.cluster import ClusterConfig
 from repro.experiments import ext_crash, ext_faults
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import SimTask, TaskRunner
+from repro.cluster import MCC
+from repro.experiments.runner import TaskRunner, sim_task
 from repro.faults import FaultProfile, derive_fault_seed
 from repro.net import NetProfile, derive_net_seed
 
@@ -22,7 +23,12 @@ class TestGrid:
     def test_tasks_shape(self):
         grid = ext_crash.tasks(jobs=20, rates=RATES, config=SMALL, seed=7)
         assert len(grid) == len(RATES) * 3  # MC, MCC, MCCK per rate
-        assert all(t.kind == "sim-crash" for t in grid)
+        assert all(t.kind == "sim" for t in grid)
+        # Every crash column carries its fault profile and the fabric.
+        crashing = [t.kwargs() for t in grid if t.label.endswith("@4/ks")]
+        assert len(crashing) == 3
+        assert all(p["faults"] == FaultProfile(daemon_crash_rate=4.0) for p in crashing)
+        assert all(p["net"] == NetProfile() for p in crashing)
         assert all(t.experiment == "ext-crash" for t in grid)
         labels = [t.label for t in grid]
         assert "MC@0/ks" in labels and "MCCK@4/ks" in labels
@@ -30,8 +36,8 @@ class TestGrid:
     def test_rate_zero_cells_run_without_faults_or_fabric(self):
         grid = ext_crash.tasks(jobs=20, rates=(0.0,), config=SMALL, seed=7)
         for task in grid:
-            assert task.kwargs()["faults"] is None
-            assert task.kwargs()["net"] is None
+            # No profile, and no seed the run would ignore.
+            assert set(task.kwargs()) == {"policy", "config", "workload"}
 
     def test_crash_cells_carry_profile_and_quiet_fabric(self):
         grid = ext_crash.tasks(jobs=20, rates=(2.0,), config=SMALL, seed=7)
@@ -54,7 +60,9 @@ class TestGrid:
 
     def test_seeds_derived_from_workload_seed(self):
         grid = ext_crash.tasks(jobs=20, rates=RATES, config=SMALL, seed=7)
-        for task in grid:
+        crashing = [task for task in grid if "faults" in task.kwargs()]
+        assert len(crashing) == 3  # the rate-4 column
+        for task in crashing:
             assert task.kwargs()["fault_seed"] == derive_fault_seed(7)
             assert task.kwargs()["net_seed"] == derive_net_seed(7)
 
@@ -92,8 +100,8 @@ class TestDeterminism:
             ours = crash.cells[configuration][0]
             baseline = faults.cells[configuration][0]
             assert ours["makespan"] == baseline["makespan"]
-            assert ours["completed"] == baseline["completed"]
-            assert ours["crashes"] == 0
+            assert ours["completed_jobs"] == baseline["completed_jobs"]
+            assert ours["daemon_crashes"] == 0
             assert ours["wal_records"] == 0
 
     def test_scripted_crash_cells_report_recovery_activity(self):
@@ -102,10 +110,10 @@ class TestDeterminism:
         result = _run(crashes=SCRIPTED)
         for configuration in ("MC", "MCC", "MCCK"):
             for cell in result.cells[configuration]:
-                assert cell["crashes"] >= 1
-                assert cell["recoveries"] >= 1
+                assert cell["daemon_crashes"] >= 1
+                assert cell["schedd_recoveries"] >= 1
                 assert cell["wal_replayed"] > 0
-                assert cell["completed"] == 20
+                assert cell["completed_jobs"] == 20
 
     def test_goodput_positive(self):
         result = _run(crashes=SCRIPTED)
@@ -119,10 +127,8 @@ class TestDeterminism:
 
 class TestCacheKeys:
     def _task(self, faults, net):
-        return SimTask.make(
-            "ext-crash", "sim-crash",
-            configuration="MCC", config=SMALL,
-            workload=("table1", 20, 7),
+        return sim_task(
+            "ext-crash", MCC(), SMALL, ("table1", 20, 7),
             faults=faults, fault_seed=derive_fault_seed(7),
             net=net, net_seed=derive_net_seed(7),
         )

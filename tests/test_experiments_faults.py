@@ -5,7 +5,8 @@ import pytest
 from repro.cluster import ClusterConfig
 from repro.experiments import ext_faults
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import SimTask, TaskRunner
+from repro.cluster import MCC
+from repro.experiments.runner import TaskRunner, sim_task
 from repro.faults import FaultProfile, derive_fault_seed
 
 SMALL = ClusterConfig(nodes=2, cycle_interval=2.0)
@@ -21,17 +22,27 @@ class TestGrid:
     def test_tasks_shape(self):
         grid = ext_faults.tasks(jobs=30, rates=RATES, config=SMALL, seed=7)
         assert len(grid) == len(RATES) * 3  # MC, MCC, MCCK per rate
-        assert all(t.kind == "sim-faults" for t in grid)
+        assert all(t.kind == "sim" for t in grid)
+        # Every faulty column carries its fault profile.
+        for rate in RATES[1:]:
+            faulty = [t for t in grid if t.label.endswith(f"@{rate:g}/ks")]
+            assert len(faulty) == 3
+            assert all(
+                t.kwargs()["faults"] == FaultProfile.chaos(rate) for t in faulty
+            )
         assert all(t.experiment == "ext-faults" for t in grid)
 
     def test_rate_zero_cells_carry_no_profile(self):
         grid = ext_faults.tasks(jobs=30, rates=(0.0,), config=SMALL, seed=7)
         for task in grid:
-            assert task.kwargs()["faults"] is None
+            # No profile, and no seed the run would ignore.
+            assert set(task.kwargs()) == {"policy", "config", "workload"}
 
     def test_fault_seed_derived_from_workload_seed(self):
         grid = ext_faults.tasks(jobs=30, rates=RATES, config=SMALL, seed=7)
-        for task in grid:
+        faulty = [task for task in grid if "faults" in task.kwargs()]
+        assert len(faulty) == 3 * (len(RATES) - 1)
+        for task in faulty:
             assert task.kwargs()["fault_seed"] == derive_fault_seed(7)
 
     def test_merge_aligns_cells(self):
@@ -58,7 +69,10 @@ class TestDeterminism:
         # Every cell fully accounts its jobs.
         for config in ("MC", "MCC", "MCCK"):
             for cell in result.cells[config]:
-                assert cell["completed"] + cell["failed"] + cell["killed"] == cell["jobs"]
+                assert (
+                    cell["completed_jobs"] + cell["infra_failed_jobs"]
+                    + cell["memory_limit_kills"] == cell["job_count"]
+                )
 
     def test_goodput_positive(self):
         result = _run()
@@ -72,10 +86,8 @@ class TestDeterminism:
 
 class TestCacheKeys:
     def _task(self, faults):
-        return SimTask.make(
-            "ext-faults", "sim-faults",
-            configuration="MCC", config=SMALL,
-            workload=("table1", 30, 7),
+        return sim_task(
+            "ext-faults", MCC(), SMALL, ("table1", 30, 7),
             faults=faults, fault_seed=derive_fault_seed(7),
         )
 

@@ -5,7 +5,8 @@ import pytest
 from repro.cluster import ClusterConfig
 from repro.experiments import ext_netchaos
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import SimTask, TaskRunner
+from repro.cluster import MCC
+from repro.experiments.runner import TaskRunner, sim_task
 from repro.net import NetProfile, PartitionSpec, derive_net_seed
 
 SMALL = ClusterConfig(nodes=2, cycle_interval=2.0)
@@ -22,7 +23,14 @@ class TestGrid:
     def test_tasks_shape(self):
         grid = ext_netchaos.tasks(jobs=20, losses=LOSSES, config=SMALL, seed=7)
         assert len(grid) == len(LOSSES) * 3  # MC, MCC, MCCK per loss
-        assert all(t.kind == "sim-net" for t in grid)
+        assert all(t.kind == "sim" for t in grid)
+        # Every lossy column carries its fabric profile.
+        for loss in LOSSES[1:]:
+            lossy = [t for t in grid if t.label.endswith(f"@loss{loss:g}")]
+            assert len(lossy) == 3
+            assert all(
+                t.kwargs()["net"] == NetProfile.chaos(loss) for t in lossy
+            )
         assert all(t.experiment == "ext-netchaos" for t in grid)
         labels = [t.label for t in grid]
         assert "MC@loss0" in labels and "MCCK@loss0.1" in labels
@@ -30,7 +38,8 @@ class TestGrid:
     def test_loss_zero_cells_run_without_fabric(self):
         grid = ext_netchaos.tasks(jobs=20, losses=(0.0,), config=SMALL, seed=7)
         for task in grid:
-            assert task.kwargs()["net"] is None
+            # No profile, and no seed the run would ignore.
+            assert set(task.kwargs()) == {"policy", "config", "workload"}
 
     def test_lossy_cells_carry_chaos_profile(self):
         grid = ext_netchaos.tasks(jobs=20, losses=(0.05,), config=SMALL, seed=7)
@@ -50,7 +59,9 @@ class TestGrid:
 
     def test_net_seed_derived_from_workload_seed(self):
         grid = ext_netchaos.tasks(jobs=20, losses=LOSSES, config=SMALL, seed=7)
-        for task in grid:
+        lossy = [task for task in grid if "net" in task.kwargs()]
+        assert len(lossy) == 3 * (len(LOSSES) - 1)
+        for task in lossy:
             assert task.kwargs()["net_seed"] == derive_net_seed(7)
 
     def test_merge_aligns_cells(self):
@@ -79,9 +90,9 @@ class TestDeterminism:
         result = _run()
         for configuration in ("MC", "MCC", "MCCK"):
             clean, lossy = result.cells[configuration]
-            assert clean["retransmits"] == 0  # no fabric at loss 0
-            assert lossy["retransmits"] > 0
-            assert lossy["completed"] == 20
+            assert clean["net_retransmits"] == 0  # no fabric at loss 0
+            assert lossy["net_retransmits"] > 0
+            assert lossy["completed_jobs"] == 20
 
     def test_goodput_positive(self):
         result = _run()
@@ -95,10 +106,8 @@ class TestDeterminism:
 
 class TestCacheKeys:
     def _task(self, net):
-        return SimTask.make(
-            "ext-netchaos", "sim-net",
-            configuration="MCC", config=SMALL,
-            workload=("table1", 20, 7),
+        return sim_task(
+            "ext-netchaos", MCC(), SMALL, ("table1", 20, 7),
             net=net, net_seed=derive_net_seed(7),
         )
 

@@ -11,7 +11,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.cluster import ClusterConfig, run_mc, run_mcc, run_mcck
+from repro.cluster import MCC, MCCK, PAPER_POLICIES, ClusterConfig, run
 from repro.condor import COMPLETED, FAILED, CondorPool, ExclusivePlacement
 from repro.cluster import ComputeNode
 from repro.faults import (
@@ -42,9 +42,8 @@ def jobs():
 @pytest.fixture(scope="module")
 def chaotic(jobs):
     return {
-        "MC": run_mc(jobs, SMALL, faults=CHAOS, fault_seed=FAULT_SEED),
-        "MCC": run_mcc(jobs, SMALL, faults=CHAOS, fault_seed=FAULT_SEED),
-        "MCCK": run_mcck(jobs, SMALL, faults=CHAOS, fault_seed=FAULT_SEED),
+        policy.name: run(jobs, SMALL, policy, faults=CHAOS, fault_seed=FAULT_SEED)
+        for policy in PAPER_POLICIES
     }
 
 
@@ -67,19 +66,19 @@ class TestRecoveryInvariants:
             assert result.retried_completed <= result.requeues
 
     def test_chaos_costs_makespan(self, chaotic, jobs):
-        clean = run_mcc(jobs, SMALL)
+        clean = run(jobs, SMALL, MCC())
         assert chaotic["MCC"].makespan >= clean.makespan
 
     def test_deterministic_replay(self, jobs, chaotic):
-        again = run_mcck(jobs, SMALL, faults=CHAOS, fault_seed=FAULT_SEED)
+        again = run(jobs, SMALL, MCCK(), faults=CHAOS, fault_seed=FAULT_SEED)
         a = json.dumps(asdict(chaotic["MCCK"]), sort_keys=True)
         b = json.dumps(asdict(again), sort_keys=True)
         assert a == b
 
     def test_null_profile_matches_fault_free(self, jobs):
-        base = json.dumps(asdict(run_mcck(jobs, SMALL)), sort_keys=True)
+        base = json.dumps(asdict(run(jobs, SMALL, MCCK())), sort_keys=True)
         null = json.dumps(
-            asdict(run_mcck(jobs, SMALL, faults=FaultProfile(), fault_seed=1)),
+            asdict(run(jobs, SMALL, MCCK(), faults=FaultProfile(), fault_seed=1)),
             sort_keys=True,
         )
         assert base == null

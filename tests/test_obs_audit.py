@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import ClusterConfig, run_mcc, run_mcck
+from repro.cluster import MCC, MCCK, ClusterConfig, run
 from repro.net import NetProfile, derive_net_seed
 from repro.obs import audit
 from repro.obs.audit import Auditor, AuditViolation
@@ -122,7 +122,7 @@ class TestIntegration:
         auditor = audit.activate()
         auditor.enter_cell("direct")
         jobs = generate_table1_jobs(12, seed=5)
-        result = run_mcc(jobs, ClusterConfig(nodes=2))
+        result = run(jobs, ClusterConfig(nodes=2), MCC())
         auditor.finish_cell()
         assert result.completed_jobs == 12
         assert auditor.violations == 0
@@ -132,9 +132,10 @@ class TestIntegration:
         auditor = audit.activate()
         auditor.enter_cell("chaos")
         jobs = generate_table1_jobs(12, seed=5)
-        result = run_mcck(
+        result = run(
             jobs,
             ClusterConfig(nodes=2),
+            MCCK(),
             net=NetProfile.chaos(0.10),
             net_seed=derive_net_seed(5),
         )

@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.cluster import ClusterConfig, run_configuration
+from repro.cluster import MCCK, ClusterConfig, run
 from repro.obs import chrome_trace, render_summary
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -38,12 +38,12 @@ def clean_globals():
     obs_metrics.deactivate()
 
 
-def traced_run(seed=7, configuration="MCCK", jobs=30):
+def traced_run(seed=7, policy=MCCK(), jobs=30):
     job_set = generate_table1_jobs(jobs, seed=seed)
     tracer = obs_trace.activate()
     registry = obs_metrics.activate()
     try:
-        result = run_configuration(configuration, job_set, SMALL)
+        result = run(job_set, SMALL, policy)
     finally:
         obs_trace.deactivate()
         obs_metrics.deactivate()
@@ -63,7 +63,7 @@ class TestDeterminism:
 
     def test_tracing_does_not_change_results(self):
         job_set = generate_table1_jobs(30, seed=7)
-        untraced = run_configuration("MCCK", job_set, SMALL)
+        untraced = run(job_set, SMALL, MCCK())
         traced, _, _ = traced_run(seed=7)
         assert traced.makespan == untraced.makespan
         assert traced.mean_core_utilization == untraced.mean_core_utilization

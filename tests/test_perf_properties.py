@@ -12,7 +12,7 @@ Two families of invariants back the performance work:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.simulation import ClusterConfig, run_configuration
+from repro.cluster.simulation import MCCK, ClusterConfig, run
 from repro.faults import FaultProfile
 from repro.phi.telemetry import StepSeries
 from repro.workloads import generate_synthetic_jobs
@@ -149,7 +149,7 @@ def _run(faults=None):
     kwargs = {}
     if faults is not None:
         kwargs = {"faults": faults, "fault_seed": 1311}
-    return run_configuration("MCCK", jobs, _small_config(), **kwargs)
+    return run(jobs, _small_config(), MCCK(), **kwargs)
 
 
 class TestKernelReplay:

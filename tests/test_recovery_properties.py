@@ -14,7 +14,7 @@ time.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterConfig, run_configuration
+from repro.cluster import MCC, ClusterConfig, run
 from repro.experiments.common import make_workload
 from repro.faults import FaultProfile
 from repro.net.profile import NetProfile
@@ -28,8 +28,8 @@ def _run(faults=None):
     auditor = audit.activate()
     auditor.enter_cell("recovery-property")
     try:
-        result = run_configuration(
-            "MCC", JOBS, CONFIG,
+        result = run(
+            JOBS, CONFIG, MCC(),
             faults=faults, fault_seed=7, net=NetProfile(), net_seed=3,
         )
         auditor.finish_cell()

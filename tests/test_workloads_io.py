@@ -31,12 +31,12 @@ class TestRoundtrip:
         assert loads_jobs(dumps_jobs(jobs)) == jobs
 
     def test_loaded_jobs_run(self, tmp_path):
-        from repro.cluster import ClusterConfig, run_mcc
+        from repro.cluster import MCC, ClusterConfig, run
 
         jobs = generate_table1_jobs(15, seed=4)
         path = tmp_path / "jobs.json"
         dump_jobs(jobs, path)
-        result = run_mcc(load_jobs(path), ClusterConfig(nodes=2))
+        result = run(load_jobs(path), ClusterConfig(nodes=2), MCC())
         assert result.completed_jobs == 15
 
     @settings(max_examples=25, deadline=None)

@@ -43,7 +43,7 @@ def _microbench_events_per_sec() -> tuple[float, int]:
     """Fired events per second on the timeout→resume fast path.
 
     Timed without the profiler (as the pre-PR baseline was): the event
-    count is exact — one Timeout per tick plus each process's Initialize
+    count is exact — one Timeout per tick plus each process's start event
     and terminal Process event.
     """
 

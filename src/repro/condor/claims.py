@@ -60,7 +60,7 @@ from ..net.profile import NetProfile
 from ..obs import audit as _audit
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..sim import Environment
+from ..sim import Environment, Event
 from .collector import Collector
 from .schedd import IDLE, MATCHED, RUNNING, JobRecord, Schedd, job_tid
 from .startd import Startd
@@ -103,6 +103,11 @@ class _Claim:
     #: Send time of the newest renewal we have *dispatched*.
     last_sent: float
     closed: bool = False
+
+    def acked(self, msg: Message) -> None:
+        """A renewal's ``on_delivered``: the startd heard us at its send time."""
+        if msg.send_time > self.last_acked_send:
+            self.last_acked_send = msg.send_time
 
 
 class ScheddClaimManager:
@@ -154,9 +159,7 @@ class ScheddClaimManager:
                 "exclusive": payload["exclusive"],
             },
         )
-        self.env.process(
-            self._match_watchdog(record, token), name=f"match-timeout:{job_id}"
-        )
+        self.watch_match(record, self.env.now + self.profile.match_timeout_s)
 
     def _on_reject(self, msg: Message) -> None:
         payload = msg.payload
@@ -191,9 +194,7 @@ class ScheddClaimManager:
             if auditor is not None:
                 auditor.claim_opened(job_id, token, self.env.now)
             self.schedd.mark_running(job_id, payload["node"], payload["device"])
-            self.env.process(
-                self._renewal_loop(record, claim), name=f"lease:{job_id}"
-            )
+            self.env.call(lambda _e: self._renew_later(record, claim))
         else:
             # An orphan run from a match we abandoned: reap it early.
             self._stale("job-started", job_id)
@@ -227,15 +228,29 @@ class ScheddClaimManager:
         else:
             self.schedd.mark_completed(job_id, result)
 
-    # -- timers -----------------------------------------------------------
+    # -- timers: kernel callbacks started from an URGENT env.call slot ----
 
-    def _match_watchdog(
-        self, record: JobRecord, token: int, deadline: float | None = None
-    ):
-        if deadline is None:
-            deadline = self.env.now + self.profile.match_timeout_s
-        if deadline > self.env.now:
-            yield self.env.timeout(deadline - self.env.now)
+    def watch_match(self, record: JobRecord, deadline: float) -> None:
+        """Revert ``record``'s match unless its claim opens by ``deadline``.
+
+        Recovery restores a MATCHED job's watchdog against its original
+        deadline. An already-expired deadline fires the watchdog
+        immediately: any claim the lost activation might have opened is
+        itself past its lease by then (``match_timeout_s >
+        lease_duration_s``), so the re-offer cannot overlap a live run.
+        """
+        env = self.env
+        token = record.claim_token
+
+        def expire(_event: Event) -> None:
+            self._match_expired(record, token)
+
+        if deadline > env.now:
+            env.call(lambda _e: env.call(expire, deadline - env.now))
+        else:
+            env.call(expire)
+
+    def _match_expired(self, record: JobRecord, token: int) -> None:
         if self.schedd._records.get(record.job_id) is not record:
             # Stale closure: a crash–recovery replay replaced this record
             # object and restarted its own watchdog against the journal.
@@ -255,52 +270,57 @@ class ScheddClaimManager:
                 )
             self.schedd.unmatch(record.job_id)
 
-    def _renewal_loop(self, record: JobRecord, claim: _Claim):
+    def _renew_later(self, record: JobRecord, claim: _Claim) -> None:
+        self.env.call(
+            lambda _e: self._renew(record, claim), self.profile.renew_interval_s
+        )
+
+    def _renew(self, record: JobRecord, claim: _Claim) -> None:
+        """One renewal tick: renew and re-arm, or stop and drain."""
+        if claim.closed:
+            return
+        env = self.env
         profile = self.profile
-        registry = _metrics.ACTIVE
         # Tolerate one full lease of silence before giving up — the
         # startd-side lease is still live for that long after its last
         # acknowledged renewal, so stopping earlier would waste claims.
-        grace = profile.lease_duration_s
-        while True:
-            yield self.env.timeout(profile.renew_interval_s)
-            if claim.closed:
-                return
-            if self.env.now - claim.last_acked_send > grace:
-                break
-            claim.last_sent = self.env.now
-
-            def _acked(msg: Message, claim: _Claim = claim) -> None:
-                if msg.send_time > claim.last_acked_send:
-                    claim.last_acked_send = msg.send_time
-
-            self.fabric.send(
-                SCHEDD,
-                startd_endpoint(claim.node),
-                MSG_LEASE_RENEW,
-                {"job_id": claim.job_id, "token": claim.token},
-                on_delivered=_acked,
+        if env.now - claim.last_acked_send > profile.lease_duration_s:
+            # Stop-then-drain: no renewal will be sent after
+            # ``last_sent``, so the startd's lease — extended at most to
+            # the send time of a renewal, never its delivery time —
+            # expires by ``last_sent + lease_duration_s``. Waiting past
+            # that (plus one renew interval of slack for the kill to
+            # unwind) guarantees the old run is dead before the job is
+            # requeued: no double-run.
+            deadline = (
+                claim.last_sent
+                + profile.lease_duration_s
+                + profile.renew_interval_s
             )
-            if registry is not None:
-                registry.counter("net.lease_renewals").inc()
-        # Stop-then-drain: no renewal will be sent after ``last_sent``,
-        # so the startd's lease — extended at most to the send time of a
-        # renewal, never its delivery time — expires by
-        # ``last_sent + lease_duration_s``. Waiting past that (plus one
-        # renew interval of slack for the kill to unwind) guarantees the
-        # old run is dead before the job is requeued: no double-run.
-        deadline = (
-            claim.last_sent
-            + profile.lease_duration_s
-            + profile.renew_interval_s
+            if deadline > env.now:
+                env.call(
+                    lambda _e: self._declare_lost(record, claim),
+                    deadline - env.now,
+                )
+            else:
+                self._declare_lost(record, claim)
+            return
+        claim.last_sent = env.now
+        self.fabric.send(
+            SCHEDD,
+            startd_endpoint(claim.node),
+            MSG_LEASE_RENEW,
+            {"job_id": claim.job_id, "token": claim.token},
+            on_delivered=claim.acked,
         )
-        if deadline > self.env.now:
-            yield self.env.timeout(deadline - self.env.now)
-        if claim.closed:
-            return  # the job-done report made it through after all
-        self._declare_lost(record, claim)
+        registry = _metrics.ACTIVE
+        if registry is not None:
+            registry.counter("net.lease_renewals").inc()
+        self._renew_later(record, claim)
 
     def _declare_lost(self, record: JobRecord, claim: _Claim) -> None:
+        if claim.closed:
+            return  # the job-done report made it through after all
         self.claims_lost += 1
         registry = _metrics.ACTIVE
         if registry is not None:
@@ -339,7 +359,7 @@ class ScheddClaimManager:
     def crash(self) -> None:
         """Drop all claim state: the daemon holding it just died.
 
-        The renewal loops and watchdogs notice through their ``closed``
+        The renewal timers and watchdogs notice through their ``closed``
         and record-identity checks; no per-claim audit events fire — the
         auditor's ``schedd_crashed`` wipes the claim ledger wholesale.
         """
@@ -351,9 +371,9 @@ class ScheddClaimManager:
         """Re-adopt a replayed RUNNING job under its journaled claim token.
 
         Rebuilds the schedd-side claim entry and restarts its renewal
-        loop. The lease clock restarts at the recovery instant: if the
+        timer. The lease clock restarts at the recovery instant: if the
         startd is healthy the next renewal re-establishes the lease; if
-        it is gone, the loop's stop-then-drain path declares the claim
+        it is gone, the timer's stop-then-drain path declares the claim
         lost and the job flows into the normal retry/backoff path.
         """
         now = self.env.now
@@ -369,22 +389,7 @@ class ScheddClaimManager:
         auditor = _audit.ACTIVE
         if auditor is not None:
             auditor.claim_opened(claim.job_id, claim.token, now)
-        self.env.process(
-            self._renewal_loop(record, claim), name=f"lease:{record.job_id}"
-        )
-
-    def restart_watchdog(self, record: JobRecord, deadline: float) -> None:
-        """Restore a MATCHED job's watchdog against its original deadline.
-
-        An already-expired deadline fires the watchdog immediately: any
-        claim the lost activation might have opened is itself past its
-        lease by then (``match_timeout_s > lease_duration_s``), so the
-        re-offer cannot overlap a live run.
-        """
-        self.env.process(
-            self._match_watchdog(record, record.claim_token, deadline),
-            name=f"match-timeout:{record.job_id}",
-        )
+        self.env.call(lambda _e: self._renew_later(record, claim))
 
     # -- internals --------------------------------------------------------
 
@@ -480,10 +485,7 @@ class StartdClaimAgent:
                 "device": payload["device"],
             },
         )
-        self.env.process(
-            self._watchdog(lease),
-            name=f"lease-watchdog:{job_id}@{self.startd.name}",
-        )
+        self.env.call(lambda _e: self._watch_lease(lease))
 
     def _on_renew(self, msg: Message) -> None:
         lease = self._leases.get(msg.payload["token"])
@@ -533,10 +535,14 @@ class StartdClaimAgent:
 
     # -- the lease watchdog -----------------------------------------------
 
-    def _watchdog(self, lease: Lease):
-        while not lease.closed and self.env.now < lease.expires_at:
-            yield self.env.timeout(lease.expires_at - self.env.now)
+    def _watch_lease(self, lease: Lease) -> None:
+        """Kill the run once ``lease`` expires; each renewal moves the check."""
         if lease.closed:
+            return
+        env = self.env
+        if env.now < lease.expires_at:
+            wait = lease.expires_at - env.now
+            env.call(lambda _e: self._watch_lease(lease), wait)
             return
         self.lease_expiries += 1
         registry = _metrics.ACTIVE
@@ -584,23 +590,22 @@ class CollectorAgent:
             # Seed the store with the registration-time (birth) ad so
             # the first negotiation cycles don't see an empty pool.
             collector.store_update(startd.snapshot(), env.now)
-            env.process(
-                self._publisher(startd),
-                name=f"collector-update:{startd.name}",
-            )
+            env.call(lambda _e, startd=startd: self._publish_later(startd))
 
-    def _publisher(self, startd: Startd):
-        interval = self.profile.update_interval_s
-        while True:
-            yield self.env.timeout(interval)
-            if not startd.alive:
-                continue  # a crashed node's daemon publishes nothing
+    def _publish_later(self, startd: Startd) -> None:
+        self.env.call(
+            lambda _e: self._publish(startd), self.profile.update_interval_s
+        )
+
+    def _publish(self, startd: Startd) -> None:
+        if startd.alive:  # a crashed node's daemon publishes nothing
             self.fabric.send(
                 startd_endpoint(startd.name),
                 COLLECTOR,
                 MSG_MACHINE_UPDATE,
                 {"snapshot": startd.snapshot()},
             )
+        self._publish_later(startd)
 
     def force_readvertise(self) -> None:
         """Demand an immediate ad from every live startd.

@@ -511,13 +511,10 @@ class DaemonSupervisor:
                     readopted += 1
             elif record.status == MATCHED:
                 deadline = record.matched_at + profile.match_timeout_s
-                claims.restart_watchdog(record, deadline)
+                claims.watch_match(record, deadline)
             elif record.status == BACKOFF:
                 delay = max(0.0, record.requeue_at - env.now)
-                env.process(
-                    schedd._requeue_after(record, delay),
-                    name=f"requeue:{record.job_id}",
-                )
+                schedd._requeue_after(record, delay)
         return readopted
 
     # -- collector ---------------------------------------------------------

@@ -528,9 +528,7 @@ class Schedd:
                     parent=tracer.get(("job", job_id)),
                     attempt=record.attempts,
                 )
-            self.env.process(
-                self._requeue_after(record, delay), name=f"requeue:{job_id}"
-            )
+            self._requeue_after(record, delay)
         else:
             record.status = FAILED
             record.result = result
@@ -561,8 +559,13 @@ class Schedd:
         if not retry:
             self._check_all_done()
 
-    def _requeue_after(self, record: JobRecord, delay: float):
-        yield self.env.timeout(max(0.0, delay))
+    def _requeue_after(self, record: JobRecord, delay: float) -> None:
+        """Requeue ``record`` after ``delay``, from a timer armed in an
+        URGENT start slot (see :meth:`Environment.call`)."""
+        env, wait = self.env, max(0.0, delay)
+        env.call(lambda _e: env.call(lambda _e: self._requeue(record), wait))
+
+    def _requeue(self, record: JobRecord) -> None:
         if self.down:
             # The schedd is crashed: a real requeue timer dies with the
             # daemon. Recovery replays the BACKOFF record and resumes the

@@ -17,7 +17,7 @@ from typing import Optional
 
 from ..cluster import MCCK, ClusterConfig
 from ..metrics import format_table
-from .common import DEFAULT_SEED, PAPER_CLUSTER
+from .common import DEFAULT_SEED, PAPER_CLUSTER, workload_spec
 from .runner import SimTask, TaskRunner, execute, sim_task
 
 _WORKLOADS = ("table1", "normal")
@@ -28,12 +28,6 @@ _CONSTRAINTS = {
     "no-cap": MCCK(thread_cap=False),
     "no-cap/no-slots": MCCK(thread_cap=False, respect_host_slots=False),
 }
-
-
-def _workload_spec(workload: str, jobs: int, seed: int) -> tuple:
-    if workload == "table1":
-        return ("table1", jobs, seed)
-    return ("synthetic", jobs, workload, seed)
 
 
 @dataclass
@@ -50,7 +44,7 @@ def tasks(
     return [
         sim_task(
             "ablation-knapsack", policy, config,
-            _workload_spec(workload, jobs, seed),
+            workload_spec(workload, jobs, seed),
             label=f"{variant}/{workload}",
         )
         for variant, policy in _CONSTRAINTS.items()

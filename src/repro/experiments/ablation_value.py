@@ -14,16 +14,10 @@ from typing import Optional
 from ..cluster import MCCK, ClusterConfig
 from ..core import value_function_names
 from ..metrics import format_table
-from .common import DEFAULT_SEED, PAPER_CLUSTER
+from .common import DEFAULT_SEED, PAPER_CLUSTER, workload_spec
 from .runner import SimTask, TaskRunner, execute, sim_task
 
 _WORKLOADS = ("table1", "normal")
-
-
-def _workload_spec(workload: str, jobs: int, seed: int) -> tuple:
-    if workload == "table1":
-        return ("table1", jobs, seed)
-    return ("synthetic", jobs, workload, seed)
 
 
 @dataclass
@@ -42,7 +36,7 @@ def tasks(
     return [
         sim_task(
             "ablation-value", MCCK(thread_cap=thread_cap, value_fn=name),
-            config, _workload_spec(workload, jobs, seed),
+            config, workload_spec(workload, jobs, seed),
             label=f"{name}/{workload}",
         )
         for name in value_function_names()

@@ -82,6 +82,28 @@ def save_result(name: str, text: str) -> Path:
     return path
 
 
+def workload_spec(workload: str, jobs: int, seed: int) -> Tuple:
+    """The :func:`make_workload` spec of ``"table1"`` or a synthetic
+    distribution name."""
+    if workload == "table1":
+        return ("table1", jobs, seed)
+    return ("synthetic", jobs, workload, seed)
+
+
+class GoodputCells:
+    """``goodput`` for sweep results that keep per-configuration cells."""
+
+    cells: dict[str, list[dict]]
+
+    def goodput(self, configuration: str) -> list[float]:
+        """Completed jobs per simulated hour, one per cell of the sweep."""
+        out = []
+        for cell in self.cells[configuration]:
+            makespan, completed = cell["makespan"], cell["completed_jobs"]
+            out.append(3600.0 * completed / makespan if makespan > 0 else 0.0)
+        return out
+
+
 def make_workload(spec: Tuple) -> Sequence[JobProfile]:
     """Rebuild a job set from its picklable spec.
 

@@ -33,7 +33,7 @@ from ..cluster import PAPER_POLICIES, ClusterConfig
 from ..faults import FaultProfile, derive_fault_seed
 from ..metrics import format_table
 from ..net import NetProfile, derive_net_seed
-from .common import DEFAULT_SEED, PAPER_CLUSTER
+from .common import DEFAULT_SEED, PAPER_CLUSTER, GoodputCells
 from .runner import SimTask, TaskRunner, execute, sim_task
 
 #: Daemon crashes per 1000 simulated seconds (0 = the paper's baseline).
@@ -44,19 +44,11 @@ DEFAULT_RATES = (0.0, 5.0, 10.0, 20.0)
 
 
 @dataclass
-class CrashResult:
+class CrashResult(GoodputCells):
     job_count: int
     rates: tuple[float, ...]
     #: configuration -> per-rate cell dicts (aligned with ``rates``).
     cells: dict[str, list[dict]]
-
-    def goodput(self, configuration: str) -> list[float]:
-        """Completed jobs per simulated hour, per crash rate."""
-        out = []
-        for cell in self.cells[configuration]:
-            makespan, completed = cell["makespan"], cell["completed_jobs"]
-            out.append(3600.0 * completed / makespan if makespan > 0 else 0.0)
-        return out
 
 
 def _profile(

@@ -27,7 +27,7 @@ from typing import Optional
 from ..cluster import PAPER_POLICIES, ClusterConfig
 from ..faults import FaultProfile, derive_fault_seed
 from ..metrics import format_table
-from .common import DEFAULT_SEED, PAPER_CLUSTER
+from .common import DEFAULT_SEED, PAPER_CLUSTER, GoodputCells
 from .runner import SimTask, TaskRunner, execute, sim_task
 
 #: Fault events per 1000 simulated seconds (0 = the paper's baseline).
@@ -35,19 +35,11 @@ DEFAULT_RATES = (0.0, 0.5, 1.0, 2.0, 4.0)
 
 
 @dataclass
-class FaultsResult:
+class FaultsResult(GoodputCells):
     job_count: int
     rates: tuple[float, ...]
     #: configuration -> per-rate cell dicts (aligned with ``rates``).
     cells: dict[str, list[dict]]
-
-    def goodput(self, configuration: str) -> list[float]:
-        """Completed jobs per simulated hour, per rate."""
-        out = []
-        for cell in self.cells[configuration]:
-            makespan, completed = cell["makespan"], cell["completed_jobs"]
-            out.append(3600.0 * completed / makespan if makespan > 0 else 0.0)
-        return out
 
 
 def _profile(rate: float) -> Optional[FaultProfile]:

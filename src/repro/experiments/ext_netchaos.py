@@ -30,7 +30,7 @@ from typing import Optional
 from ..cluster import PAPER_POLICIES, ClusterConfig
 from ..metrics import format_table
 from ..net import NetProfile, PartitionSpec, derive_net_seed
-from .common import DEFAULT_SEED, PAPER_CLUSTER
+from .common import DEFAULT_SEED, PAPER_CLUSTER, GoodputCells
 from .runner import SimTask, TaskRunner, execute, sim_task
 
 #: Per-message loss probabilities (0 = the paper's in-process baseline).
@@ -38,19 +38,11 @@ DEFAULT_LOSSES = (0.0, 0.02, 0.05, 0.10)
 
 
 @dataclass
-class NetChaosResult:
+class NetChaosResult(GoodputCells):
     job_count: int
     losses: tuple[float, ...]
     #: configuration -> per-loss cell dicts (aligned with ``losses``).
     cells: dict[str, list[dict]]
-
-    def goodput(self, configuration: str) -> list[float]:
-        """Completed jobs per simulated hour, per loss rate."""
-        out = []
-        for cell in self.cells[configuration]:
-            makespan, completed = cell["makespan"], cell["completed_jobs"]
-            out.append(3600.0 * completed / makespan if makespan > 0 else 0.0)
-        return out
 
 
 def _profile(

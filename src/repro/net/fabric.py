@@ -12,9 +12,10 @@ provides:
 * **Loss / duplication**: per-attempt seeded coin flips.
 * **Scripted partitions**: windows during which matching endpoints are
   unreachable (drops at send time; retransmission rides it out).
-* **At-least-once delivery**: a per-message retransmit process resends
-  on a seeded exponential backoff until an acknowledgement arrives.
-  Acks travel through the same lossy weather.
+* **At-least-once delivery**: a per-message retransmit state machine
+  of kernel callbacks (no process) resends on a seeded exponential
+  backoff until an acknowledgement arrives. Acks travel through the
+  same lossy weather.
 * **Idempotent, in-order dispatch**: the receiver side of each link
   drops duplicate sequence numbers (re-acking them — the ack may have
   been the lost half) and buffers ahead-of-sequence arrivals until the
@@ -30,14 +31,14 @@ so a fixed seed replays byte-identically. No wall clock, no builtin
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional
 
 import random
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..sim import Environment
+from ..sim import Environment, Event
 from .profile import NetProfile
 
 #: Well-known endpoint names (startds use :func:`startd_endpoint`).
@@ -79,18 +80,7 @@ class FabricStats:
     acks_lost: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "messages_sent": self.messages_sent,
-            "attempts": self.attempts,
-            "delivered": self.delivered,
-            "retransmits": self.retransmits,
-            "losses": self.losses,
-            "duplicates_sent": self.duplicates_sent,
-            "duplicates_dropped": self.duplicates_dropped,
-            "partition_drops": self.partition_drops,
-            "down_drops": self.down_drops,
-            "acks_lost": self.acks_lost,
-        }
+        return asdict(self)
 
 
 class _Link:
@@ -105,13 +95,47 @@ class _Link:
 
 
 class _Outstanding:
-    """Sender-side delivery state for one message."""
+    """Sender-side retransmit state machine for one message; its bound
+    methods are the kernel callbacks of the start slot and retransmit
+    timers (:meth:`attempt`), flights and ack flights."""
 
-    __slots__ = ("acked", "on_delivered")
+    __slots__ = ("fabric", "message", "on_delivered", "acked", "attempts", "rto")
 
-    def __init__(self, on_delivered: Optional[Callable[[Message], None]]) -> None:
-        self.acked = False
+    def __init__(
+        self,
+        fabric: "MessageFabric",
+        message: Message,
+        on_delivered: Optional[Callable[[Message], None]],
+    ) -> None:
+        self.fabric = fabric
+        self.message = message
         self.on_delivered = on_delivered
+        self.acked = False
+        self.attempts = 0
+        self.rto = fabric.profile.rto_initial_s
+
+    def attempt(self, _event: Event) -> None:
+        """Transmit, then re-arm on seeded exponential backoff until acked."""
+        if self.acked:
+            return
+        fabric = self.fabric
+        self.attempts += 1
+        fabric._transmit(self)
+        # Seeded jitter on the backoff so simultaneous losses don't
+        # retransmit in lockstep (the same storm-avoidance argument
+        # as RetryPolicy jitter, at the transport layer).
+        fabric.env.call(self.attempt, self.rto * (0.5 + fabric.rng.random()))
+        profile = fabric.profile
+        self.rto = min(self.rto * profile.rto_backoff, profile.rto_max_s)
+
+    def deliver(self, _event: Event) -> None:
+        self.fabric._deliver(self)
+
+    def ack(self, _event: Event) -> None:
+        if not self.acked:
+            self.acked = True
+            if self.on_delivered is not None:
+                self.on_delivered(self.message)
 
 
 class MessageFabric:
@@ -143,7 +167,7 @@ class MessageFabric:
     def set_down(self, endpoint: str) -> None:
         """Take an endpoint offline: it neither sends nor receives.
 
-        In-flight retransmit loops keep running; delivery resumes once
+        In-flight retransmit timers keep firing; delivery resumes once
         the endpoint comes back (daemon restart keeps the TCP analogy
         simple: the transport state survives).
         """
@@ -185,11 +209,7 @@ class MessageFabric:
         registry = _metrics.ACTIVE
         if registry is not None:
             registry.counter("net.messages").inc()
-        out = _Outstanding(on_delivered)
-        self.env.process(
-            self._retransmit_loop(message, out),
-            name=f"net:{kind}:{src}->{dst}#{message.seq}",
-        )
+        self.env.call(_Outstanding(self, message, on_delivered).attempt)
         return message
 
     # -- internals --------------------------------------------------------
@@ -221,20 +241,8 @@ class MessageFabric:
                 return True
         return False
 
-    def _retransmit_loop(self, message: Message, out: _Outstanding):
-        """Transmit, then resend on seeded exponential backoff until acked."""
-        rto = self.profile.rto_initial_s
-        attempt = 0
-        while not out.acked:
-            attempt += 1
-            self._transmit(message, out, attempt)
-            # Seeded jitter on the backoff so simultaneous losses don't
-            # retransmit in lockstep (the same storm-avoidance argument
-            # as RetryPolicy jitter, at the transport layer).
-            yield self.env.timeout(rto * (0.5 + self.rng.random()))
-            rto = min(rto * self.profile.rto_backoff, self.profile.rto_max_s)
-
-    def _transmit(self, message: Message, out: _Outstanding, attempt: int) -> None:
+    def _transmit(self, out: _Outstanding) -> None:
+        message = out.message
         profile = self.profile
         rng = self.rng
         # Fixed draw order per attempt (delay, loss, dup) keeps the
@@ -243,7 +251,7 @@ class MessageFabric:
         lost = rng.random() < profile.loss
         duplicated = rng.random() < profile.dup
         self.stats.attempts += 1
-        if attempt > 1:
+        if out.attempts > 1:
             self.stats.retransmits += 1
             registry = _metrics.ACTIVE
             if registry is not None:
@@ -258,19 +266,14 @@ class MessageFabric:
         if lost:
             self.stats.losses += 1
             return
-        self._schedule(delay, lambda: self._deliver(message, out))
+        self.env.call(out.deliver, delay)
         if duplicated:
             self.stats.duplicates_sent += 1
             dup_delay = profile.delay_base_s + rng.random() * profile.delay_jitter_s
-            self._schedule(dup_delay, lambda: self._deliver(message, out))
+            self.env.call(out.deliver, dup_delay)
 
-    def _schedule(self, delay: float, action: Callable[[], None]) -> None:
-        # A bare timeout with a callback appended — one heap event per
-        # flight, no generator process.
-        timeout = self.env.timeout(delay)
-        timeout.callbacks.append(lambda _event: action())
-
-    def _deliver(self, message: Message, out: _Outstanding) -> None:
+    def _deliver(self, out: _Outstanding) -> None:
+        message = out.message
         if message.dst in self._down:
             # Receiver offline: the copy evaporates, no ack.
             self.stats.down_drops += 1
@@ -290,7 +293,7 @@ class MessageFabric:
                 self._dispatch(ready)
         # Every received copy is acknowledged — the earlier ack may have
         # been the lost half of the round trip.
-        self._send_ack(message, out)
+        self._send_ack(out)
 
     def _dispatch(self, message: Message) -> None:
         handler = self._handlers.get((message.dst, message.kind))
@@ -300,7 +303,8 @@ class MessageFabric:
             )
         handler(message)
 
-    def _send_ack(self, message: Message, out: _Outstanding) -> None:
+    def _send_ack(self, out: _Outstanding) -> None:
+        message = out.message
         profile = self.profile
         rng = self.rng
         delay = profile.delay_base_s + rng.random() * profile.delay_jitter_s
@@ -314,14 +318,7 @@ class MessageFabric:
         if lost:
             self.stats.acks_lost += 1
             return
-        self._schedule(delay, lambda: self._ack_arrived(message, out))
-
-    def _ack_arrived(self, message: Message, out: _Outstanding) -> None:
-        if out.acked:
-            return
-        out.acked = True
-        if out.on_delivered is not None:
-            out.on_delivered(message)
+        self.env.call(out.ack, delay)
 
     def __repr__(self) -> str:
         return (

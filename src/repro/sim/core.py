@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from . import profile as _profile
 from .events import (
     NORMAL,
     PENDING,
+    URGENT,
     AllOf,
     AnyOf,
     Event,
@@ -91,6 +92,23 @@ class Environment:
     ) -> Process:
         """Start a new process driving ``generator``."""
         return Process(self, generator, name=name)
+
+    def call(
+        self, fn: Callable[[Event], None], delay: Optional[float] = None
+    ) -> Event:
+        """Run ``fn(event)`` off the queue: at ``now`` from a bare URGENT
+        event (the slot a process's start takes), or after ``delay`` from
+        a :class:`Timeout`. A timer that starts and re-arms this way keeps
+        the event order of the process it replaces, minus its exit event.
+        """
+        if delay is None:
+            event = Event(self)
+            event._value = None
+            self.schedule(event, priority=URGENT)
+        else:
+            event = Timeout(self, delay)
+        event.callbacks.append(fn)
+        return event
 
     def all_of(self, events) -> AllOf:
         """Event that triggers when all ``events`` have triggered."""

@@ -308,20 +308,6 @@ class AnyOf(Condition):
         super().__init__(env, Condition.any_events, events)
 
 
-class Initialize(Event):
-    """Kick-starts a new :class:`Process` (internal)."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process") -> None:
-        super().__init__(env)
-        assert self.callbacks is not None
-        self.callbacks.append(process._resume)
-        self._ok = True
-        self._value = None
-        env.schedule(self, priority=URGENT)
-
-
 class Interruption(Event):
     """Immediately throws an :class:`Interrupt` into a process (internal)."""
 

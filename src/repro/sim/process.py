@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from .events import Event, Initialize, Interruption, SimulationError
+from .events import Event, Interruption, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
@@ -33,9 +33,9 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process currently waits for (None when not
-        #: started, terminated, or about to be resumed).
-        self._target: Optional[Event] = Initialize(env, self)
+        #: The event this process currently waits for (None when
+        #: terminated or about to be resumed); first, its URGENT start.
+        self._target: Optional[Event] = env.call(self._resume)
 
     @property
     def target(self) -> Optional[Event]:

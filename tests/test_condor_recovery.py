@@ -10,6 +10,7 @@ from repro.condor import (
     COMPLETED,
     FAILED,
     IDLE,
+    RUNNING,
     CondorPool,
     RandomPlacement,
     RetryPolicy,
@@ -17,6 +18,7 @@ from repro.condor import (
 from repro.experiments.common import make_workload
 from repro.faults import FaultInjector, FaultProfile, FaultSchedule
 from repro.mpss import JobRunResult
+from repro.net import startd_endpoint
 from repro.net.profile import NetProfile
 from repro.obs import audit
 from repro.sim import Environment
@@ -186,6 +188,31 @@ class TestDaemonSupervisor:
     def test_running_jobs_readopted_across_schedd_crash(self):
         result = self._run_with_crashes(MCC(), ((40.0, "schedd"),))
         assert result.jobs_readopted > 0
+
+    def test_readopted_claim_renews_then_is_lost_when_startd_is_silent(self):
+        env = Environment()
+        pool, _ = make_pool(env, cycle_interval=5.0)
+        pool.schedd.submit(make_profile("j0", work=5000.0))
+        pool.start()
+        env.run(until=20.0)
+        assert pool.schedd.get("j0").status == RUNNING
+        pool.supervisor.crash_daemon("schedd", downtime_s=5.0)
+        env.run(until=30.0)
+        assert pool.supervisor.jobs_readopted == 1
+        record = pool.schedd.get("j0")
+        claim = pool.claims._claims[record.claim_token]
+        readopted_at = claim.opened_at
+        # The re-adopted claim keeps renewing: the startd acknowledges
+        # renewals sent after the recovery instant.
+        env.run(until=readopted_at + 25.0)
+        assert claim.last_acked_send > readopted_at
+        assert pool.claims.claims_lost == 0
+        # A silent startd: renewals go unacknowledged, and the claim is
+        # declared lost after a lease plus the drain wait.
+        pool.fabric.set_down(startd_endpoint(record.matched_node))
+        env.run(until=env.now + 120.0)
+        assert claim.closed
+        assert pool.claims.claims_lost == 1
 
     def test_crashed_daemon_always_restarts(self):
         env = Environment()

@@ -1,7 +1,12 @@
-"""Smoke tests for the extension experiments (X1-X3)."""
+"""Smoke tests for the extension experiments (X1-X3, X7)."""
 
 from repro.cluster import ClusterConfig
-from repro.experiments import ext_capacity, ext_multidevice, ext_oversubscription
+from repro.experiments import (
+    ext_capacity,
+    ext_multidevice,
+    ext_oversubscription,
+    ext_scale,
+)
 
 TINY = ClusterConfig(nodes=2)
 
@@ -69,3 +74,17 @@ class TestOversubscriptionCurve:
                                           memory_demand_mb=(4096,))
         text = ext_oversubscription.render(result)
         assert "X3a" in text and "X3b" in text
+
+
+class TestScaleSweep:
+    def test_small_pool_row_matches_a_standalone_run(self):
+        # The deterministic columns of the sweep's 8-node row equal a
+        # plain 8-node run (the CI scale-smoke check at a tiny size).
+        sweep = ext_scale.run(jobs=12, node_counts=(8, 16))
+        alone = ext_scale.run(jobs=12, node_counts=(8,)).rows[0]
+        assert [row["nodes"] for row in sweep.rows] == [8, 16]
+        embedded = sweep.rows[0]
+        for key in ("makespan", "completed", "cycles", "events"):
+            assert embedded[key] == alone[key], key
+        assert all(row["completed"] == 12 for row in sweep.rows)
+        assert "X7" in ext_scale.render(sweep)

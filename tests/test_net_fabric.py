@@ -11,6 +11,7 @@ from repro.net import (
     startd_endpoint,
 )
 from repro.sim import Environment
+from repro.sim import profile as sim_profile
 
 
 def _fabric(profile=None, seed=7):
@@ -149,6 +150,27 @@ class TestDelivery:
             fabric.send("a", "b", "ping", {"n": n})
         env.run(until=100.0)
         assert seen == list(range(30))
+
+
+class TestEventBudget:
+    def test_clean_send_fires_four_events_and_no_process(self):
+        # Start slot, flight, ack flight, and one retransmit timer that
+        # finds the message acked: the whole cost of a clean send.
+        prof = sim_profile.activate()
+        try:
+            env, fabric = _fabric(NetProfile(loss=0.0, dup=0.0))
+        finally:
+            sim_profile.deactivate()
+        fabric.register("b", "ping", lambda m: None)
+        sends = 25
+        for n in range(sends):
+            fabric.send("a", "b", "ping", {"n": n})
+        env.run()
+        assert fabric.stats.delivered == sends
+        assert fabric.stats.retransmits == 0
+        assert prof.total_fired == 4 * sends
+        assert prof.events_scheduled == {"Event": sends, "Timeout": 3 * sends}
+        assert prof.process_switches == 0
 
 
 class TestPartitionsAndDowntime:
